@@ -15,7 +15,7 @@ use std::time::Instant;
 use vliw_experiments::{
     batch, chains_exp, example433, faults, fig4, fig5, fig6, fig7, fig8, hints_exp,
     interleave_study, optgap, profile_fidelity, report, smt, tables, trace_exp, ExperimentContext,
-    RunConfig, RunGrid, ScheduleMemo, UnrollMode,
+    RunConfig, RunGrid, SchedCache, UnrollMode,
 };
 use vliw_sched::{ClusterPolicy, SchedBackend, SchedStats};
 
@@ -70,7 +70,7 @@ fn sched_record(ctx: &ExperimentContext) -> (Vec<(String, f64)>, String) {
 
     // memo probe: two configs differing only in a non-preparation axis
     // share every preparation, so the second sweep is all memo hits
-    let memo = ScheduleMemo::new();
+    let memo = SchedCache::new();
     let base = RunConfig {
         unroll: UnrollMode::NoUnroll,
         ..RunConfig::ipbc()

@@ -1,10 +1,10 @@
 //! Shared plumbing for the bench targets and the `repro` binary.
 //!
-//! The bench targets use the dependency-free [`harness`] (the container
-//! this workspace builds in has no registry access, so Criterion is out of
-//! reach); each target regenerates one artifact of the paper on a reduced
-//! context. The full 14-benchmark sweep lives in the `repro` binary —
-//! run `cargo run --release -p vliw-bench --bin repro full all`.
+//! The bench targets (`sched`, `simulator`, `mshr`) use the
+//! dependency-free [`harness`] (the workspace builds with no registry
+//! access, so Criterion is out of reach). The paper's artifacts are
+//! regenerated by the `repro` binary — run
+//! `cargo run --release -p vliw-bench --bin repro full all`.
 
 pub mod harness;
 
@@ -15,25 +15,6 @@ use vliw_ir::LoopKernel;
 use vliw_machine::MachineConfig;
 use vliw_sched::{schedule_kernel_with_stats, ClusterPolicy, SchedStats, ScheduleOptions};
 use vliw_workloads::{profile_kernel, ArrayLayout};
-
-/// A deliberately small context for the benches: two benchmarks, short
-/// simulations — large enough to exercise every pipeline stage, small
-/// enough to repeat.
-pub fn bench_context() -> ExperimentContext {
-    let mut ctx = ExperimentContext::quick();
-    ctx.benchmarks = vec!["gsmdec".into(), "jpegenc".into()];
-    ctx.sim.iteration_cap = 64;
-    ctx.sim.warmup_iterations = 64;
-    ctx.profile.iteration_cap = 64;
-    ctx
-}
-
-/// A single-benchmark context for the microbenches.
-pub fn micro_context(bench: &str) -> ExperimentContext {
-    let mut ctx = bench_context();
-    ctx.benchmarks = vec![bench.into()];
-    ctx
-}
 
 /// The scheduling-throughput workload over the full 14-benchmark suite —
 /// the population the `sched` bench measures.

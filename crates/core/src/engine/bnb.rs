@@ -91,7 +91,7 @@ use vliw_machine::MachineConfig;
 use vliw_trace::Trace;
 
 use super::backend::{SchedQuality, ScheduleOutcome, SchedulerBackend};
-use super::{prepare_traced, swing_with_prep, Prep, SchedStats, ScheduleOptions};
+use super::{prepare, swing_with_prep, Prep, SchedStats, ScheduleOptions};
 use crate::mrt::Mrt;
 use crate::schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};
 
@@ -154,16 +154,7 @@ impl SchedulerBackend for ExactBnB {
         "bnb"
     }
 
-    fn schedule_with_stats(
-        &self,
-        kernel: &LoopKernel,
-        machine: &MachineConfig,
-        options: &ScheduleOptions,
-    ) -> Result<ScheduleOutcome, ScheduleError> {
-        self.schedule_traced(kernel, machine, options, Trace::off())
-    }
-
-    fn schedule_traced(
+    fn schedule(
         &self,
         kernel: &LoopKernel,
         machine: &MachineConfig,
@@ -179,7 +170,7 @@ impl SchedulerBackend for ExactBnB {
             None
         };
         let mut stats = SchedStats::default();
-        let (ddg, prep) = prepare_traced(kernel, machine, options, trace);
+        let (ddg, prep) = prepare(kernel, machine, options, trace);
 
         // Incumbent: the heuristic result bounds the II search from above
         // (standard warm-started B&B), run off the same preparation so

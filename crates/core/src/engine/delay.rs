@@ -16,7 +16,7 @@
 //!   chosen percentile — the risk knob), falling back to the class-mix
 //!   expectation when only a synthetic profile is attached;
 //! * placement is the standard swing pass (the crate-private
-//!   `swing_with_prep`): identical search, identical resource model,
+//!   `swing_schedule`): identical search, identical resource model,
 //!   different promises.
 //!
 //! The measured histograms reach the kernel through
@@ -25,15 +25,16 @@
 //! measure, re-schedule against what was measured.
 //!
 //! Like the swing pipeline this is a heuristic: the outcome claims
-//! [`SchedQuality::Heuristic`], and the `optgap` study measures what the
-//! richer latency model buys against the exact branch-and-bound yardstick.
+//! [`SchedQuality::Heuristic`](super::SchedQuality::Heuristic), and the
+//! `optgap` study measures what the richer latency model buys against the
+//! exact branch-and-bound yardstick.
 
 use vliw_ir::LoopKernel;
 use vliw_machine::MachineConfig;
 use vliw_trace::Trace;
 
-use super::backend::{SchedQuality, ScheduleOutcome, SchedulerBackend};
-use super::{prepare_traced, swing_with_prep, ScheduleOptions};
+use super::backend::{ScheduleOutcome, SchedulerBackend};
+use super::{swing_schedule, ScheduleOptions};
 use crate::schedule::ScheduleError;
 
 /// The delay-tracking pipeliner (see the module docs).
@@ -45,25 +46,13 @@ impl SchedulerBackend for DelayTracking {
         "delay"
     }
 
-    fn schedule_with_stats(
-        &self,
-        kernel: &LoopKernel,
-        machine: &MachineConfig,
-        options: &ScheduleOptions,
-    ) -> Result<ScheduleOutcome, ScheduleError> {
-        self.schedule_traced(kernel, machine, options, Trace::off())
-    }
-
-    fn schedule_traced(
+    fn schedule(
         &self,
         kernel: &LoopKernel,
         machine: &MachineConfig,
         options: &ScheduleOptions,
         trace: Trace<'_>,
     ) -> Result<ScheduleOutcome, ScheduleError> {
-        if kernel.ops.is_empty() {
-            return Err(ScheduleError::EmptyKernel);
-        }
         // `prepare` selects the profiled latency assignment when the
         // options name this backend; force that even if a caller built
         // the options by hand with a mismatched backend field
@@ -71,22 +60,14 @@ impl SchedulerBackend for DelayTracking {
             backend: super::SchedBackend::DelayTracking,
             ..*options
         };
-        let (ddg, prep) = prepare_traced(kernel, machine, &opts, trace);
-        swing_with_prep(kernel, machine, &opts, &ddg, prep, trace).map(|(schedule, stats)| {
-            ScheduleOutcome {
-                schedule,
-                stats,
-                quality: SchedQuality::Heuristic,
-                max_live: None,
-            }
-        })
+        swing_schedule(kernel, machine, &opts, trace)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{schedule_outcome, ClusterPolicy, SchedBackend};
+    use crate::engine::{schedule_outcome, ClusterPolicy, SchedBackend, SchedQuality};
     use vliw_ir::{ArrayKind, DepKind, KernelBuilder, LatencyProfile, MemProfile, OpId, Opcode};
 
     /// A recurrence kernel whose load carries a measured latency

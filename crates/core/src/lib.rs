@@ -79,8 +79,7 @@ pub use engine::{
     schedule_kernel, schedule_kernel_with_stats, schedule_outcome, schedule_outcome_traced,
     schedule_problem, AssignContext, AssignState, ClusterAssign, ClusterPolicy, DelayTracking,
     ExactBnB, FallbackPolicy, Neighbor, SchedBackend, SchedQuality, SchedStats, ScheduleOptions,
-    ScheduleOutcome, ScheduleProblem, SchedulerBackend, SwingModulo, TrialMode,
-    DEFAULT_NODE_BUDGET,
+    ScheduleOutcome, ScheduleProblem, SchedulerBackend, SwingModulo, DEFAULT_NODE_BUDGET,
 };
 pub use hints::{attraction_hints, AttractionHints};
 pub use latency::{
@@ -88,7 +87,7 @@ pub use latency::{
     delay_tracking_latency, BenefitStep, CandidateEval, LatencyAssignment,
 };
 pub use mii::{edge_latency, rec_mii, res_mii};
-pub use mrt::{Mrt, MrtImpl, MrtSavepoint, ReservationTable, ScalarMrt};
+pub use mrt::{Mrt, MrtSavepoint};
 pub use order::sms_order;
 pub use pressure::{max_live, max_live_per_cluster};
 pub use schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};

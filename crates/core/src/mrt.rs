@@ -11,81 +11,12 @@
 //! counters feed the masks (`bit set ⇔ count == capacity`) and the hot
 //! probes read only the masks.
 //!
-//! The legacy one-scalar-per-probe table is retained as [`ScalarMrt`], a
-//! test-only reference implementation behind the shared
-//! [`ReservationTable`] trait; the engine is generic over that trait so
-//! equivalence tests can drive the exact same placement code over both
-//! representations and assert bit-identical schedules.
+//! The unit tests keep the pre-bitmask one-scalar-per-probe table as a
+//! private oracle: both tables pass one shared contract suite and must
+//! agree probe for probe on randomized reservation traces.
 
 use vliw_ir::FuKind;
 use vliw_machine::MachineConfig;
-
-/// Which reservation-table implementation the engine drives.
-///
-/// [`MrtImpl::Masked`] is the production word-parallel table;
-/// [`MrtImpl::ScalarReference`] is the legacy scalar-probe table retained
-/// so the equivalence suite can prove the masked table produces
-/// bit-identical schedules and equal work counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MrtImpl {
-    /// Word-parallel `u64` occupancy rows (the default).
-    #[default]
-    Masked,
-    /// The pre-refactor scalar-probe table ([`ScalarMrt`]), kept as the
-    /// reference implementation for equivalence testing.
-    ScalarReference,
-}
-
-/// The reservation-table contract the scheduling engine is generic over.
-///
-/// Both implementations ([`Mrt`], [`ScalarMrt`]) expose identical
-/// transaction, savepoint, reservation and candidate-walk semantics; the
-/// engine's placement loop never branches on the implementation, which is
-/// what makes the scalar table a meaningful equivalence reference.
-pub trait ReservationTable: Clone {
-    /// An empty table for the given II and machine.
-    fn new(ii: u32, machine: &MachineConfig) -> Self;
-    /// Re-initializes for a (possibly different) II, reusing allocations.
-    fn reset(&mut self, ii: u32, machine: &MachineConfig);
-    /// The II this table was built for.
-    fn ii(&self) -> u32;
-    /// Opens a transaction (see [`Mrt::begin`]).
-    fn begin(&mut self);
-    /// Commits the open transaction (see [`Mrt::commit`]).
-    fn commit(&mut self);
-    /// Rolls back the open transaction (see [`Mrt::rollback`]).
-    fn rollback(&mut self);
-    /// Whether a transaction is open.
-    fn in_transaction(&self) -> bool;
-    /// Marks the current journal position (see [`Mrt::savepoint`]).
-    fn savepoint(&self) -> MrtSavepoint;
-    /// Unwinds to a savepoint (see [`Mrt::rollback_to`]).
-    fn rollback_to(&mut self, sp: MrtSavepoint);
-    /// Whether a `kind` unit is free in `cluster` at `cycle`.
-    fn fu_free(&self, cluster: usize, kind: FuKind, cycle: i64) -> bool;
-    /// Reserves a `kind` unit in `cluster` at `cycle`.
-    fn fu_reserve(&mut self, cluster: usize, kind: FuKind, cycle: i64);
-    /// The first cycle with a free `kind` unit, walking from `from`
-    /// towards `limit` inclusive (downwards when `descending`). The
-    /// caller's window never exceeds one II, so each modulo slot is
-    /// inspected at most once.
-    fn next_free_fu_cycle(
-        &self,
-        cluster: usize,
-        kind: FuKind,
-        from: i64,
-        limit: i64,
-        descending: bool,
-    ) -> Option<i64>;
-    /// Finds a register bus free for a whole transfer starting at `cycle`.
-    fn bus_find(&self, cycle: i64) -> Option<usize>;
-    /// Whether bus `bus` is free for a transfer starting at `cycle`.
-    fn bus_free(&self, bus: usize, cycle: i64) -> bool;
-    /// Reserves bus `bus` for a transfer starting at `cycle`.
-    fn bus_reserve(&mut self, bus: usize, cycle: i64);
-    /// Number of clusters this table covers.
-    fn n_clusters(&self) -> usize;
-}
 
 /// Tracks resource usage of a partial modulo schedule at one II.
 ///
@@ -159,9 +90,6 @@ enum Undo {
         /// The exact bits the reservation set in that word.
         bits: u64,
     },
-    /// Scalar-table bus entry: `bus[idx] = true` happened (one entry per
-    /// occupied slot); undo clears. Only [`ScalarMrt`] emits these.
-    BusSlot(u32),
 }
 
 fn kind_index(kind: FuKind) -> usize {
@@ -275,7 +203,6 @@ impl Mrt {
                 self.fu_full[row * self.words + slot / 64] &= !(1u64 << (slot % 64));
             }
             Undo::BusWord { widx, bits } => self.bus[widx as usize] &= !bits,
-            Undo::BusSlot(_) => unreachable!("scalar journal entry in masked table"),
         }
     }
 
@@ -513,371 +440,193 @@ impl Mrt {
     }
 }
 
-impl ReservationTable for Mrt {
-    fn new(ii: u32, machine: &MachineConfig) -> Self {
-        Mrt::new(ii, machine)
-    }
-    fn reset(&mut self, ii: u32, machine: &MachineConfig) {
-        Mrt::reset(self, ii, machine);
-    }
-    fn ii(&self) -> u32 {
-        Mrt::ii(self)
-    }
-    fn begin(&mut self) {
-        Mrt::begin(self);
-    }
-    fn commit(&mut self) {
-        Mrt::commit(self);
-    }
-    fn rollback(&mut self) {
-        Mrt::rollback(self);
-    }
-    fn in_transaction(&self) -> bool {
-        Mrt::in_transaction(self)
-    }
-    fn savepoint(&self) -> MrtSavepoint {
-        Mrt::savepoint(self)
-    }
-    fn rollback_to(&mut self, sp: MrtSavepoint) {
-        Mrt::rollback_to(self, sp);
-    }
-    fn fu_free(&self, cluster: usize, kind: FuKind, cycle: i64) -> bool {
-        Mrt::fu_free(self, cluster, kind, cycle)
-    }
-    fn fu_reserve(&mut self, cluster: usize, kind: FuKind, cycle: i64) {
-        Mrt::fu_reserve(self, cluster, kind, cycle);
-    }
-    fn next_free_fu_cycle(
-        &self,
-        cluster: usize,
-        kind: FuKind,
-        from: i64,
-        limit: i64,
-        descending: bool,
-    ) -> Option<i64> {
-        Mrt::next_free_fu_cycle(self, cluster, kind, from, limit, descending)
-    }
-    fn bus_find(&self, cycle: i64) -> Option<usize> {
-        Mrt::bus_find(self, cycle)
-    }
-    fn bus_free(&self, bus: usize, cycle: i64) -> bool {
-        Mrt::bus_free(self, bus, cycle)
-    }
-    fn bus_reserve(&mut self, bus: usize, cycle: i64) {
-        Mrt::bus_reserve(self, bus, cycle);
-    }
-    fn n_clusters(&self) -> usize {
-        Mrt::n_clusters(self)
-    }
-}
-
-/// The pre-refactor scalar-probe reservation table: per-slot `u16`
-/// counters and per-slot `bool` bus flags, probed one scalar at a time.
-///
-/// Retained purely as the **reference implementation** for the
-/// masked-vs-scalar equivalence suite (`tests/mrt_impl_equivalence.rs`)
-/// and the shared unit tests below; production scheduling always uses
-/// [`Mrt`]. Semantics — including transaction, savepoint and panic
-/// behavior — match [`Mrt`] exactly.
-#[derive(Debug, Clone)]
-pub struct ScalarMrt {
-    ii: u32,
-    n_clusters: usize,
-    fu_cap: [usize; 3],
-    // [cluster][kind][slot]
-    fu: Vec<u16>,
-    // [bus][slot]
-    bus: Vec<bool>,
-    n_buses: usize,
-    transfer: u32,
-    journal: Vec<Undo>,
-    in_txn: bool,
-}
-
-impl ScalarMrt {
-    /// An empty table for the given II and machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ii == 0`.
-    pub fn new(ii: u32, machine: &MachineConfig) -> Self {
-        assert!(ii > 0, "II must be positive");
-        let n = machine.clusters.n_clusters;
-        ScalarMrt {
-            ii,
-            n_clusters: n,
-            fu_cap: [
-                machine.clusters.int_units,
-                machine.clusters.fp_units,
-                machine.clusters.mem_units,
-            ],
-            fu: vec![0; n * 3 * ii as usize],
-            bus: vec![false; machine.buses.reg_buses * ii as usize],
-            n_buses: machine.buses.reg_buses,
-            transfer: machine.buses.transfer_cycles,
-            journal: Vec::new(),
-            in_txn: false,
-        }
-    }
-
-    /// See [`Mrt::reset`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ii == 0`.
-    pub fn reset(&mut self, ii: u32, machine: &MachineConfig) {
-        assert!(ii > 0, "II must be positive");
-        let n = machine.clusters.n_clusters;
-        self.ii = ii;
-        self.n_clusters = n;
-        self.fu_cap = [
-            machine.clusters.int_units,
-            machine.clusters.fp_units,
-            machine.clusters.mem_units,
-        ];
-        self.fu.clear();
-        self.fu.resize(n * 3 * ii as usize, 0);
-        self.bus.clear();
-        self.bus
-            .resize(machine.buses.reg_buses * ii as usize, false);
-        self.n_buses = machine.buses.reg_buses;
-        self.transfer = machine.buses.transfer_cycles;
-        self.journal.clear();
-        self.in_txn = false;
-    }
-
-    /// See [`Mrt::begin`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transaction is already open.
-    pub fn begin(&mut self) {
-        assert!(!self.in_txn, "MRT transactions do not nest");
-        debug_assert!(self.journal.is_empty());
-        self.in_txn = true;
-    }
-
-    /// See [`Mrt::commit`].
-    pub fn commit(&mut self) {
-        self.journal.clear();
-        self.in_txn = false;
-    }
-
-    /// See [`Mrt::rollback`].
-    pub fn rollback(&mut self) {
-        while let Some(entry) = self.journal.pop() {
-            self.undo(entry);
-        }
-        self.in_txn = false;
-    }
-
-    fn undo(&mut self, entry: Undo) {
-        match entry {
-            Undo::Fu(idx) => self.fu[idx as usize] -= 1,
-            Undo::BusSlot(idx) => self.bus[idx as usize] = false,
-            Undo::BusWord { .. } => unreachable!("masked journal entry in scalar table"),
-        }
-    }
-
-    /// See [`Mrt::in_transaction`].
-    pub fn in_transaction(&self) -> bool {
-        self.in_txn
-    }
-
-    /// See [`Mrt::savepoint`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no transaction is open.
-    pub fn savepoint(&self) -> MrtSavepoint {
-        assert!(self.in_txn, "savepoint requires an open transaction");
-        MrtSavepoint(self.journal.len())
-    }
-
-    /// See [`Mrt::rollback_to`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no transaction is open or the savepoint was already
-    /// unwound.
-    pub fn rollback_to(&mut self, sp: MrtSavepoint) {
-        assert!(self.in_txn, "rollback_to requires an open transaction");
-        assert!(
-            sp.0 <= self.journal.len(),
-            "savepoint already unwound (LIFO order violated)"
-        );
-        while self.journal.len() > sp.0 {
-            let entry = self.journal.pop().expect("journal entry");
-            self.undo(entry);
-        }
-    }
-
-    /// See [`Mrt::ii`].
-    pub fn ii(&self) -> u32 {
-        self.ii
-    }
-
-    fn slot(&self, cycle: i64) -> usize {
-        cycle.rem_euclid(self.ii as i64) as usize
-    }
-
-    fn fu_idx(&self, cluster: usize, kind: FuKind, cycle: i64) -> usize {
-        (cluster * 3 + kind_index(kind)) * self.ii as usize + self.slot(cycle)
-    }
-
-    /// See [`Mrt::fu_free`].
-    pub fn fu_free(&self, cluster: usize, kind: FuKind, cycle: i64) -> bool {
-        (self.fu[self.fu_idx(cluster, kind, cycle)] as usize) < self.fu_cap[kind_index(kind)]
-    }
-
-    /// See [`Mrt::fu_reserve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no unit is free.
-    pub fn fu_reserve(&mut self, cluster: usize, kind: FuKind, cycle: i64) {
-        assert!(
-            self.fu_free(cluster, kind, cycle),
-            "functional unit oversubscribed"
-        );
-        let idx = self.fu_idx(cluster, kind, cycle);
-        self.fu[idx] += 1;
-        if self.in_txn {
-            self.journal.push(Undo::Fu(idx as u32));
-        }
-    }
-
-    /// See [`Mrt::next_free_fu_cycle`] — the scalar walk probes one cycle
-    /// at a time, visiting exactly the cycles the masked walk yields.
-    pub fn next_free_fu_cycle(
-        &self,
-        cluster: usize,
-        kind: FuKind,
-        from: i64,
-        limit: i64,
-        descending: bool,
-    ) -> Option<i64> {
-        let mut c = from;
-        if descending {
-            while c >= limit {
-                if self.fu_free(cluster, kind, c) {
-                    return Some(c);
-                }
-                c -= 1;
-            }
-        } else {
-            while c <= limit {
-                if self.fu_free(cluster, kind, c) {
-                    return Some(c);
-                }
-                c += 1;
-            }
-        }
-        None
-    }
-
-    /// See [`Mrt::bus_find`].
-    pub fn bus_find(&self, cycle: i64) -> Option<usize> {
-        (0..self.n_buses).find(|&b| self.bus_free(b, cycle))
-    }
-
-    /// See [`Mrt::bus_free`].
-    pub fn bus_free(&self, bus: usize, cycle: i64) -> bool {
-        if self.transfer > self.ii {
-            return false;
-        }
-        (0..self.transfer as i64).all(|k| !self.bus[bus * self.ii as usize + self.slot(cycle + k)])
-    }
-
-    /// See [`Mrt::bus_reserve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any needed slot is taken.
-    pub fn bus_reserve(&mut self, bus: usize, cycle: i64) {
-        assert!(self.bus_free(bus, cycle), "register bus oversubscribed");
-        for k in 0..self.transfer as i64 {
-            let s = self.slot(cycle + k);
-            let idx = bus * self.ii as usize + s;
-            self.bus[idx] = true;
-            if self.in_txn {
-                self.journal.push(Undo::BusSlot(idx as u32));
-            }
-        }
-    }
-
-    /// See [`Mrt::n_clusters`].
-    pub fn n_clusters(&self) -> usize {
-        self.n_clusters
-    }
-
-    /// Compares occupancy state against `other` without allocating.
-    pub fn state_eq(&self, other: &ScalarMrt) -> bool {
-        self.fu == other.fu && self.bus == other.bus
-    }
-}
-
-impl ReservationTable for ScalarMrt {
-    fn new(ii: u32, machine: &MachineConfig) -> Self {
-        ScalarMrt::new(ii, machine)
-    }
-    fn reset(&mut self, ii: u32, machine: &MachineConfig) {
-        ScalarMrt::reset(self, ii, machine);
-    }
-    fn ii(&self) -> u32 {
-        ScalarMrt::ii(self)
-    }
-    fn begin(&mut self) {
-        ScalarMrt::begin(self);
-    }
-    fn commit(&mut self) {
-        ScalarMrt::commit(self);
-    }
-    fn rollback(&mut self) {
-        ScalarMrt::rollback(self);
-    }
-    fn in_transaction(&self) -> bool {
-        ScalarMrt::in_transaction(self)
-    }
-    fn savepoint(&self) -> MrtSavepoint {
-        ScalarMrt::savepoint(self)
-    }
-    fn rollback_to(&mut self, sp: MrtSavepoint) {
-        ScalarMrt::rollback_to(self, sp);
-    }
-    fn fu_free(&self, cluster: usize, kind: FuKind, cycle: i64) -> bool {
-        ScalarMrt::fu_free(self, cluster, kind, cycle)
-    }
-    fn fu_reserve(&mut self, cluster: usize, kind: FuKind, cycle: i64) {
-        ScalarMrt::fu_reserve(self, cluster, kind, cycle);
-    }
-    fn next_free_fu_cycle(
-        &self,
-        cluster: usize,
-        kind: FuKind,
-        from: i64,
-        limit: i64,
-        descending: bool,
-    ) -> Option<i64> {
-        ScalarMrt::next_free_fu_cycle(self, cluster, kind, from, limit, descending)
-    }
-    fn bus_find(&self, cycle: i64) -> Option<usize> {
-        ScalarMrt::bus_find(self, cycle)
-    }
-    fn bus_free(&self, bus: usize, cycle: i64) -> bool {
-        ScalarMrt::bus_free(self, bus, cycle)
-    }
-    fn bus_reserve(&mut self, bus: usize, cycle: i64) {
-        ScalarMrt::bus_reserve(self, bus, cycle);
-    }
-    fn n_clusters(&self) -> usize {
-        ScalarMrt::n_clusters(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pre-bitmask scalar-probe table, kept as the oracle the masked
+    /// [`Mrt`] is checked against: per-slot `u16` counters and per-slot
+    /// `bool` bus flags, probed one scalar at a time, with its own
+    /// one-entry-per-slot journal. Transaction, savepoint and panic
+    /// semantics match [`Mrt`] exactly.
+    #[derive(Debug, Clone)]
+    struct ScalarMrt {
+        ii: u32,
+        fu_cap: [usize; 3],
+        // [cluster][kind][slot]
+        fu: Vec<u16>,
+        // [bus][slot]
+        bus: Vec<bool>,
+        n_buses: usize,
+        transfer: u32,
+        journal: Vec<ScalarUndo>,
+        in_txn: bool,
+    }
+
+    /// A scalar journal entry: the flat index a reservation incremented
+    /// (`Fu`) or set (`Bus`).
+    #[derive(Debug, Clone, Copy)]
+    enum ScalarUndo {
+        Fu(usize),
+        Bus(usize),
+    }
+
+    impl ScalarMrt {
+        fn new(ii: u32, machine: &MachineConfig) -> Self {
+            let mut t = ScalarMrt {
+                ii,
+                fu_cap: [0; 3],
+                fu: Vec::new(),
+                bus: Vec::new(),
+                n_buses: 0,
+                transfer: 0,
+                journal: Vec::new(),
+                in_txn: false,
+            };
+            t.reset(ii, machine);
+            t
+        }
+
+        fn reset(&mut self, ii: u32, machine: &MachineConfig) {
+            assert!(ii > 0, "II must be positive");
+            let n = machine.clusters.n_clusters;
+            self.ii = ii;
+            self.fu_cap = [
+                machine.clusters.int_units,
+                machine.clusters.fp_units,
+                machine.clusters.mem_units,
+            ];
+            self.fu.clear();
+            self.fu.resize(n * 3 * ii as usize, 0);
+            self.bus.clear();
+            self.bus
+                .resize(machine.buses.reg_buses * ii as usize, false);
+            self.n_buses = machine.buses.reg_buses;
+            self.transfer = machine.buses.transfer_cycles;
+            self.journal.clear();
+            self.in_txn = false;
+        }
+
+        fn begin(&mut self) {
+            assert!(!self.in_txn, "MRT transactions do not nest");
+            self.in_txn = true;
+        }
+
+        fn commit(&mut self) {
+            self.journal.clear();
+            self.in_txn = false;
+        }
+
+        fn rollback(&mut self) {
+            while let Some(entry) = self.journal.pop() {
+                self.undo(entry);
+            }
+            self.in_txn = false;
+        }
+
+        fn undo(&mut self, entry: ScalarUndo) {
+            match entry {
+                ScalarUndo::Fu(idx) => self.fu[idx] -= 1,
+                ScalarUndo::Bus(idx) => self.bus[idx] = false,
+            }
+        }
+
+        fn in_transaction(&self) -> bool {
+            self.in_txn
+        }
+
+        fn savepoint(&self) -> MrtSavepoint {
+            assert!(self.in_txn, "savepoint requires an open transaction");
+            MrtSavepoint(self.journal.len())
+        }
+
+        fn rollback_to(&mut self, sp: MrtSavepoint) {
+            assert!(self.in_txn, "rollback_to requires an open transaction");
+            assert!(
+                sp.0 <= self.journal.len(),
+                "savepoint already unwound (LIFO order violated)"
+            );
+            while self.journal.len() > sp.0 {
+                let entry = self.journal.pop().expect("journal entry");
+                self.undo(entry);
+            }
+        }
+
+        fn ii(&self) -> u32 {
+            self.ii
+        }
+
+        fn slot(&self, cycle: i64) -> usize {
+            cycle.rem_euclid(self.ii as i64) as usize
+        }
+
+        fn fu_idx(&self, cluster: usize, kind: FuKind, cycle: i64) -> usize {
+            (cluster * 3 + kind_index(kind)) * self.ii as usize + self.slot(cycle)
+        }
+
+        fn fu_free(&self, cluster: usize, kind: FuKind, cycle: i64) -> bool {
+            (self.fu[self.fu_idx(cluster, kind, cycle)] as usize) < self.fu_cap[kind_index(kind)]
+        }
+
+        fn fu_reserve(&mut self, cluster: usize, kind: FuKind, cycle: i64) {
+            assert!(
+                self.fu_free(cluster, kind, cycle),
+                "functional unit oversubscribed"
+            );
+            let idx = self.fu_idx(cluster, kind, cycle);
+            self.fu[idx] += 1;
+            if self.in_txn {
+                self.journal.push(ScalarUndo::Fu(idx));
+            }
+        }
+
+        /// Probes one cycle at a time, visiting exactly the cycles the
+        /// masked walk must yield.
+        fn next_free_fu_cycle(
+            &self,
+            cluster: usize,
+            kind: FuKind,
+            from: i64,
+            limit: i64,
+            descending: bool,
+        ) -> Option<i64> {
+            let mut c = from;
+            while (descending && c >= limit) || (!descending && c <= limit) {
+                if self.fu_free(cluster, kind, c) {
+                    return Some(c);
+                }
+                c += if descending { -1 } else { 1 };
+            }
+            None
+        }
+
+        fn bus_find(&self, cycle: i64) -> Option<usize> {
+            (0..self.n_buses).find(|&b| self.bus_free(b, cycle))
+        }
+
+        fn bus_free(&self, bus: usize, cycle: i64) -> bool {
+            if self.transfer > self.ii {
+                return false;
+            }
+            (0..self.transfer as i64)
+                .all(|k| !self.bus[bus * self.ii as usize + self.slot(cycle + k)])
+        }
+
+        fn bus_reserve(&mut self, bus: usize, cycle: i64) {
+            assert!(self.bus_free(bus, cycle), "register bus oversubscribed");
+            for k in 0..self.transfer as i64 {
+                let idx = bus * self.ii as usize + self.slot(cycle + k);
+                self.bus[idx] = true;
+                if self.in_txn {
+                    self.journal.push(ScalarUndo::Bus(idx));
+                }
+            }
+        }
+
+        fn state_eq(&self, other: &ScalarMrt) -> bool {
+            self.fu == other.fu && self.bus == other.bus
+        }
+    }
 
     /// The shared behavioral suite, instantiated for both implementations:
     /// every contract the scheduler relies on — capacity, wrap, panic
@@ -1183,7 +932,9 @@ mod tests {
             };
             a.begin();
             b.begin();
-            let mut sps: Vec<(MrtSavepoint, MrtSavepoint)> = Vec::new();
+            // each savepoint carries a whole-table snapshot of the masked
+            // table: unwinding to the mark must restore exactly that state
+            let mut sps: Vec<(MrtSavepoint, MrtSavepoint, Mrt)> = Vec::new();
             for _ in 0..400 {
                 let cycle = next() as i64 % (2 * ii as i64 + 3) - ii as i64;
                 match next() % 6 {
@@ -1223,12 +974,16 @@ mod tests {
                         );
                     }
                     3 => {
-                        sps.push((a.savepoint(), b.savepoint()));
+                        sps.push((a.savepoint(), b.savepoint(), a.clone()));
                     }
                     4 => {
-                        if let Some((sa, sb)) = sps.pop() {
+                        if let Some((sa, sb, snapshot)) = sps.pop() {
                             a.rollback_to(sa);
                             b.rollback_to(sb);
+                            assert!(
+                                a.state_eq(&snapshot),
+                                "rollback_to diverged from the savepoint snapshot at ii={ii}"
+                            );
                         }
                     }
                     _ => {

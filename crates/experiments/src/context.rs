@@ -16,6 +16,8 @@ use vliw_workloads::{
     profile_kernel, suite, synthesize, ArrayLayout, BenchmarkModel, ProfileOptions, WorkloadConfig,
 };
 
+use crate::schedcache::SchedCache;
+
 /// How loops are unrolled in an experiment configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnrollMode {
@@ -526,12 +528,6 @@ pub fn prepare_loop_traced(
     }
 }
 
-/// The schedule cache, re-exported under its historical name: every
-/// grid/driver that used the single-map `ScheduleMemo` now runs on the
-/// sharded, persistable [`SchedCache`](crate::schedcache::SchedCache)
-/// with identical results.
-pub use crate::schedcache::SchedCache as ScheduleMemo;
-
 /// The outcome of one loop under one configuration.
 #[derive(Debug, Clone)]
 pub struct LoopRun {
@@ -540,7 +536,7 @@ pub struct LoopRun {
     /// Aggregation weight (dynamic operations).
     pub weight: f64,
     /// The prepared loop (kernel + schedule), possibly shared with other
-    /// runs through a [`ScheduleMemo`].
+    /// runs through a [`SchedCache`].
     pub prepared: Arc<PreparedLoop>,
     /// Simulation result (cycles, stalls, access mix).
     pub sim: LoopSimResult,
@@ -653,14 +649,14 @@ pub fn run_benchmark(model: &BenchmarkModel, cfg: &RunConfig, ctx: &ExperimentCo
     run_benchmark_memo(model, cfg, ctx, None)
 }
 
-/// [`run_benchmark`] with an optional shared [`ScheduleMemo`], so grids
+/// [`run_benchmark`] with an optional shared [`SchedCache`], so grids
 /// sweeping buffer/hint axes schedule each loop once per distinct
 /// preparation key. Results are identical with or without the memo.
 pub fn run_benchmark_memo(
     model: &BenchmarkModel,
     cfg: &RunConfig,
     ctx: &ExperimentContext,
-    memo: Option<&ScheduleMemo>,
+    memo: Option<&SchedCache>,
 ) -> BenchRun {
     let machine = ctx.machine_for(cfg);
     let mut loops = Vec::new();
@@ -758,7 +754,7 @@ mod tests {
         };
         let bnb = swing.with_backend(SchedBackend::ExactBnB);
         let machine = ctx.machine_for(&swing);
-        let memo = ScheduleMemo::new();
+        let memo = SchedCache::new();
         let a = memo.prepare(kernel, &machine, &swing, &ctx).unwrap();
         let b = memo.prepare(kernel, &machine, &bnb, &ctx).unwrap();
         assert_eq!(memo.len(), 2, "one slot per backend");

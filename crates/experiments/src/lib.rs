@@ -61,7 +61,7 @@ pub mod trace_exp;
 pub use batch::{run_batch, BatchOptions, BatchReport, BatchRequest};
 pub use context::{
     prepare_loop, prepare_loop_traced, run_benchmark, run_benchmark_memo, ArchVariant, BenchRun,
-    ExperimentContext, LoopRun, PreparedLoop, ProfileSource, RunConfig, ScheduleMemo, UnrollMode,
+    ExperimentContext, LoopRun, PreparedLoop, ProfileSource, RunConfig, UnrollMode,
 };
 pub use faults::{run_faults, FaultOptions, FaultPlan, FaultReport};
 pub use grid::{GridAxes, GridResult, Parallelism, RunGrid};

@@ -1,7 +1,7 @@
 //! The schedule cache: sharded in memory, versioned on disk.
 //!
 //! This is the orchestration layer of "scheduling as a service": the
-//! single-map `ScheduleMemo` of earlier revisions, promoted to a
+//! single-map schedule memo of earlier revisions, promoted to a
 //! content-addressed cache that (a) scales across worker threads by lock
 //! striping, and (b) outlives a process via a persistent store in the
 //! same integers-only text discipline as the measured-profile store.
