@@ -20,7 +20,7 @@
 //! that is cleared — never reallocated — across attempts.
 //!
 //! There is one placement path. Its output is pinned against history by
-//! committed golden digests (`tests/golden_schedules.rs`): every schedule
+//! committed golden digests (`tests/golden/mod.rs`): every schedule
 //! and all six [`SchedStats`] counters of a 780-case population must stay
 //! bit-identical, so a changed candidate walk or a journal undo that
 //! restores the wrong bits fails there.
