@@ -409,14 +409,7 @@ fn main() {
         save("optgap", g.table().to_csv());
         let mut m = vec![
             ("kernels".into(), g.n_kernels as f64),
-            ("node_budget".into(), g.node_budget as f64),
-            // the adaptive-budget policy in force: base budget scaled by
-            // ops × II range (tracked so budget-policy changes show up
-            // next to the proven-optimal fraction they move)
-            (
-                "adaptive_budget".into(),
-                f64::from(vliw_sched::ScheduleOptions::new(ClusterPolicy::Free).adaptive_budget),
-            ),
+            ("node_budget".into(), vliw_sched::DEFAULT_NODE_BUDGET as f64),
             ("proven_optimal_fraction".into(), g.proven_fraction()),
         ];
         for r in &g.rows {

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use vliw_experiments::ExperimentContext;
 use vliw_ir::LoopKernel;
 use vliw_machine::MachineConfig;
-use vliw_sched::{schedule_kernel_with_stats, ClusterPolicy, SchedStats, ScheduleOptions};
+use vliw_sched::{schedule_outcome, ClusterPolicy, SchedStats, ScheduleOptions};
 use vliw_workloads::{profile_kernel, ArrayLayout};
 
 /// The scheduling-throughput workload over the full 14-benchmark suite —
@@ -45,9 +45,9 @@ pub fn sched_workload_for(ctx: &ExperimentContext) -> (Vec<LoopKernel>, MachineC
                 // deep unrolling can defeat the no-backtracking scheduler
                 // under pinned-chain policies; keep only kernels every
                 // policy can schedule so each bench case runs the same set
-                let all_schedulable = ClusterPolicy::ALL.iter().all(|&p| {
-                    vliw_sched::schedule_kernel(&k, &ctx.machine, ScheduleOptions::new(p)).is_ok()
-                });
+                let all_schedulable = ClusterPolicy::ALL
+                    .iter()
+                    .all(|&p| schedule_outcome(&k, &ctx.machine, ScheduleOptions::new(p)).is_ok());
                 if all_schedulable {
                     kernels.push(k);
                 }
@@ -74,14 +74,14 @@ pub fn sched_pass(
     let mut stats = SchedStats::default();
     let t = Instant::now();
     for k in kernels {
-        let (s, st) = schedule_kernel_with_stats(
+        let outcome = schedule_outcome(
             std::hint::black_box(k),
             std::hint::black_box(machine),
             ScheduleOptions::new(policy),
         )
         .expect("workload kernels are pre-filtered to schedule");
-        std::hint::black_box(&s);
-        stats.merge(&st);
+        std::hint::black_box(&outcome.schedule);
+        stats.merge(&outcome.stats);
     }
     (stats, t.elapsed())
 }

@@ -7,9 +7,8 @@
 //! implementation plus one [`SchedBackend`] arm. Two backends ship:
 //!
 //! * [`SwingModulo`] — the paper's §4.3.1 pipeline (latency assignment →
-//!   SMS ordering → no-backtracking cluster assignment + slot placement),
-//!   extracted verbatim from the historical `schedule_kernel` body; its
-//!   output is bit-identical to the pre-seam scheduler.
+//!   SMS ordering → no-backtracking cluster assignment + slot placement);
+//!   its output is pinned by the golden digests of `tests/golden/`.
 //! * [`ExactBnB`] — an exact branch-and-bound modulo scheduler used as
 //!   the optimality yardstick for the `optgap` study (see the
 //!   [`bnb`](super::bnb) module).
@@ -199,9 +198,8 @@ impl SchedBackend {
     ];
 }
 
-/// The paper's §4.3.1 pipeline as a [`SchedulerBackend`]: the historical
-/// `schedule_kernel` body, extracted behind the seam with bit-identical
-/// output (guarded by the golden-digest and grid-determinism tests).
+/// The paper's §4.3.1 pipeline as a [`SchedulerBackend`], its output
+/// pinned by the golden-digest and grid-determinism tests.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SwingModulo;
 
@@ -240,9 +238,9 @@ mod tests {
         let k = kernel();
         let m = MachineConfig::word_interleaved_4();
         let opts = ScheduleOptions::new(ClusterPolicy::PreBuildChains);
-        let direct = crate::engine::schedule_kernel(&k, &m, opts).unwrap();
+        let direct = schedule_outcome(&k, &m, opts).unwrap();
         let via_trait = SwingModulo.schedule(&k, &m, &opts, Trace::off()).unwrap();
-        assert_eq!(direct, via_trait.schedule);
+        assert_eq!(direct.schedule, via_trait.schedule);
     }
 
     #[test]

@@ -20,7 +20,7 @@ impl ClusterAssign for Base {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{schedule_kernel, ClusterPolicy, ScheduleOptions};
+    use crate::engine::{schedule_outcome, ClusterPolicy, ScheduleOptions};
     use crate::examples_443::{figure3_kernel, figure3_machine};
 
     /// §4.3.3 worked example under BASE: the schedule is legal and reaches
@@ -32,8 +32,9 @@ mod tests {
             let (k, ops) = figure3_kernel();
             (k, ops, figure3_machine())
         };
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty(), "legal schedule");
         assert_eq!(s.ii, 8, "BASE also achieves the MII on Figure 3");
     }

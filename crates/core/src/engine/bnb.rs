@@ -53,9 +53,11 @@
 //!   fixed budget the search therefore reaches strictly deeper than the
 //!   historical scalar probe-every-cell scan.
 //! * **Node-budget cutoff.** The search examines at most
-//!   [`ScheduleOptions::node_budget`](super::ScheduleOptions) candidate
-//!   cells per call. Exhausting the budget is a *counted, surfaced*
-//!   outcome — [`SchedStats::cutoffs`](super::SchedStats) and
+//!   [`ExactBnB::resolved_node_budget`] candidate cells per call
+//!   ([`DEFAULT_NODE_BUDGET`] scaled by kernel size, tightened by
+//!   [`ScheduleOptions::cost_ceiling`](super::ScheduleOptions)).
+//!   Exhausting the budget is a *counted, surfaced* outcome —
+//!   [`SchedStats::cutoffs`](super::SchedStats) and
 //!   [`SchedQuality::CutoffFeasible`](super::SchedQuality) — never a
 //!   silent fallback to the heuristic result.
 //! * **MaxLive tie-break.** Once the II is proven optimal, a bounded
@@ -130,22 +132,18 @@ pub const NODE_SAMPLE_EVERY: u64 = 1_024;
 pub struct ExactBnB;
 
 impl ExactBnB {
-    /// The node budget one call actually runs under.
+    /// The node budget one call runs under before
+    /// [`ScheduleOptions::cost_ceiling`] tightens it.
     ///
-    /// With [`ScheduleOptions::adaptive_budget`] unset this is the flat
-    /// [`ScheduleOptions::node_budget`]. With it set (the default), the
-    /// base is scaled by the problem size `n_ops × ii_levels` relative to
-    /// [`ADAPTIVE_REF_CELLS`] — big unrolled kernels get proportionally
-    /// more search effort, small kernels keep the base exactly — capped
-    /// at [`ADAPTIVE_MAX_SCALE`]× the base. A zero base stays zero under
-    /// either policy (budget exhaustion stays testable).
-    pub fn resolved_node_budget(options: &ScheduleOptions, n_ops: usize, ii_levels: u32) -> u64 {
-        if !options.adaptive_budget {
-            return options.node_budget;
-        }
+    /// [`DEFAULT_NODE_BUDGET`] scaled by the problem size
+    /// `n_ops × ii_levels` relative to [`ADAPTIVE_REF_CELLS`]: big
+    /// unrolled kernels get proportionally more search effort, small
+    /// kernels keep the base exactly, and the scale is capped at
+    /// [`ADAPTIVE_MAX_SCALE`]×.
+    pub fn resolved_node_budget(n_ops: usize, ii_levels: u32) -> u64 {
         let cells = (n_ops as u64).saturating_mul(u64::from(ii_levels.max(1)));
         let scale = (cells / ADAPTIVE_REF_CELLS).clamp(1, ADAPTIVE_MAX_SCALE);
-        options.node_budget.saturating_mul(scale)
+        DEFAULT_NODE_BUDGET.saturating_mul(scale)
     }
 }
 
@@ -194,11 +192,8 @@ impl SchedulerBackend for ExactBnB {
         // (ops × II levels left to decide) is known; a caller-supplied
         // cost ceiling composes by `min` — a deadline can only tighten
         // the search, never extend it
-        let resolved = ExactBnB::resolved_node_budget(
-            options,
-            kernel.ops.len(),
-            upper.saturating_sub(prep.mii0),
-        );
+        let resolved =
+            ExactBnB::resolved_node_budget(kernel.ops.len(), upper.saturating_sub(prep.mii0));
         let node_budget = match options.cost_ceiling {
             Some(ceiling) => resolved.min(ceiling),
             None => resolved,
@@ -1097,7 +1092,9 @@ mod tests {
         let k = saxpy();
         let m = MachineConfig::word_interleaved_4();
         for policy in ClusterPolicy::ALL {
-            let h = crate::engine::schedule_kernel(&k, &m, ScheduleOptions::new(policy)).unwrap();
+            let h = schedule_outcome(&k, &m, ScheduleOptions::new(policy))
+                .unwrap()
+                .schedule;
             let o = schedule_outcome(&k, &m, opts(policy)).unwrap();
             assert!(o.schedule.ii <= h.ii, "{policy:?}");
             assert!(o.schedule.ii >= o.schedule.mii, "{policy:?}");
@@ -1135,52 +1132,34 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_budget_scales_with_problem_size() {
-        let o = opts(ClusterPolicy::Free);
-        assert!(o.adaptive_budget, "adaptive is the default policy");
+    fn node_budget_scales_with_problem_size() {
         // at or below the reference size the base budget is untouched
-        assert_eq!(
-            ExactBnB::resolved_node_budget(&o, 16, 4),
-            DEFAULT_NODE_BUDGET
-        );
-        assert_eq!(
-            ExactBnB::resolved_node_budget(&o, 128, 4),
-            DEFAULT_NODE_BUDGET
-        );
+        assert_eq!(ExactBnB::resolved_node_budget(16, 4), DEFAULT_NODE_BUDGET);
+        assert_eq!(ExactBnB::resolved_node_budget(128, 4), DEFAULT_NODE_BUDGET);
         // beyond it the budget scales linearly…
         assert_eq!(
-            ExactBnB::resolved_node_budget(&o, 256, 8),
+            ExactBnB::resolved_node_budget(256, 8),
             4 * DEFAULT_NODE_BUDGET
         );
         // …up to the cap
         assert_eq!(
-            ExactBnB::resolved_node_budget(&o, 4096, 64),
+            ExactBnB::resolved_node_budget(4096, 64),
             ADAPTIVE_MAX_SCALE * DEFAULT_NODE_BUDGET
         );
         // zero II levels still count as one (the proof at the MII)
-        assert_eq!(
-            ExactBnB::resolved_node_budget(&o, 64, 0),
-            DEFAULT_NODE_BUDGET
-        );
-        // a zero base stays zero, and the flat policy ignores size
-        let mut flat = o;
-        flat.node_budget = 0;
-        assert_eq!(ExactBnB::resolved_node_budget(&flat, 4096, 64), 0);
-        flat.node_budget = 7;
-        flat.adaptive_budget = false;
-        assert_eq!(ExactBnB::resolved_node_budget(&flat, 4096, 64), 7);
+        assert_eq!(ExactBnB::resolved_node_budget(64, 0), DEFAULT_NODE_BUDGET);
     }
 
     #[test]
     fn zero_budget_surfaces_cutoff_not_silent_fallback() {
         let k = dense();
         let m = MachineConfig::word_interleaved_4();
-        let heuristic =
-            crate::engine::schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
-                .unwrap();
+        let heuristic = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
+            .unwrap()
+            .schedule;
         assert!(heuristic.ii > heuristic.mii, "kernel must have a gap");
         let mut o = opts(ClusterPolicy::Free);
-        o.node_budget = 0;
+        o.cost_ceiling = Some(0);
         let out = schedule_outcome(&k, &m, o).unwrap();
         // the zero budget must be a *reported* cutoff: the result falls
         // back to the incumbent schedule, visibly, with the cutoff counted
@@ -1234,7 +1213,7 @@ mod tests {
         let k = dense();
         let m = MachineConfig::word_interleaved_4();
         let mut o = opts(ClusterPolicy::Free);
-        o.node_budget = 0;
+        o.cost_ceiling = Some(0);
         o.fallback = crate::engine::FallbackPolicy::Fail;
         // the incumbent exists, but `Fail` refuses to serve it
         let err = schedule_outcome(&k, &m, o).unwrap_err();
@@ -1248,9 +1227,9 @@ mod tests {
     fn retry_ladder_degrades_to_counted_fallback() {
         let k = dense();
         let m = MachineConfig::word_interleaved_4();
-        let heuristic =
-            crate::engine::schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
-                .unwrap();
+        let heuristic = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
+            .unwrap()
+            .schedule;
         let mut o = opts(ClusterPolicy::Free);
         o.cost_ceiling = Some(4);
         o.fallback = crate::engine::FallbackPolicy::RetryReducedBudget {
@@ -1319,7 +1298,7 @@ mod tests {
         let k = dense();
         let m = MachineConfig::word_interleaved_4();
         let mut o = opts(ClusterPolicy::Free);
-        o.node_budget = 0;
+        o.cost_ceiling = Some(0);
         let out = schedule_outcome(&k, &m, o).unwrap();
         assert_eq!(out.quality, SchedQuality::CutoffFeasible);
         assert_eq!(

@@ -50,7 +50,7 @@ impl ClusterAssign for Ibc {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{schedule_kernel, ClusterPolicy, ScheduleOptions};
+    use crate::engine::{schedule_outcome, ClusterPolicy, ScheduleOptions};
     use crate::examples_443::{figure3_kernel, figure3_machine};
 
     /// §4.3.3 worked example under IBC: the n1–n2–n4 chain stays together
@@ -61,8 +61,9 @@ mod tests {
     fn figure3_ibc_keeps_chain_together_at_mii() {
         let (k, ops) = figure3_kernel();
         let m = figure3_machine();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty(), "legal schedule");
         let c = s.op(ops.n1).cluster;
         assert_eq!(s.op(ops.n2).cluster, c, "chain member n2 follows n1");

@@ -41,7 +41,7 @@ impl ClusterAssign for Ipbc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{schedule_kernel, ClusterPolicy, ScheduleOptions};
+    use crate::engine::{schedule_outcome, ClusterPolicy, ScheduleOptions};
     use crate::examples_443::{figure3_kernel, figure3_machine};
 
     /// §4.3.3 worked example under IPBC: the n1–n2–n4 chain (preferences
@@ -51,8 +51,9 @@ mod tests {
     fn figure3_ipbc_pins_chain_to_average_preferred_cluster() {
         let (k, ops) = figure3_kernel();
         let m = figure3_machine();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty(), "legal schedule");
         assert_eq!(s.op(ops.n1).cluster, 0);
         assert_eq!(s.op(ops.n2).cluster, 0);

@@ -95,7 +95,7 @@ impl ClusterPolicy {
     ];
 }
 
-/// Counters describing how much work one [`schedule_kernel`] call did —
+/// Counters describing how much work one [`schedule_outcome`] call did —
 /// the scheduler's throughput denominators (see the `sched` bench and the
 /// `repro … sched` target).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -134,34 +134,20 @@ impl SchedStats {
     }
 }
 
-/// Options for [`schedule_kernel`].
+/// Options for [`schedule_outcome`].
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduleOptions {
     /// Cluster-assignment policy.
     pub policy: ClusterPolicy,
-    /// Hard II limit; `None` = `2 × MII + 96`.
-    pub max_ii: Option<u32>,
     /// Circuit-enumeration safety caps.
     pub enum_limits: EnumLimits,
     /// Which [`SchedulerBackend`] runs the kernel → [`Schedule`]
     /// transformation (default [`SchedBackend::SwingModulo`], the paper's
     /// pipeline).
     pub backend: SchedBackend,
-    /// Base node budget for the exact backend: candidate placements it
-    /// may explore across all II levels of one call before reporting a
-    /// cutoff. With [`ScheduleOptions::adaptive_budget`] set (the
-    /// default) this base is scaled by kernel size; see
-    /// [`ExactBnB::resolved_node_budget`]. Ignored by heuristic backends.
-    pub node_budget: u64,
-    /// Scale [`ScheduleOptions::node_budget`] by kernel size
-    /// (`ops × II search range`, the ROADMAP's adaptive-budget item) so
-    /// big unrolled kernels get proportional search effort instead of the
-    /// flat default. Kernels at or below the reference size keep the base
-    /// budget exactly, so small-suite results are unchanged.
-    pub adaptive_budget: bool,
     /// Deterministic per-call deadline for the exact backend: a hard
     /// ceiling on candidate cells examined, composed by `min` with the
-    /// resolved node budget (so a caller-supplied deadline can only
+    /// size-scaled node budget of [`ExactBnB::resolved_node_budget`] (so a caller-supplied deadline can only
     /// tighten the search, never extend it). Node counts, not wall-clock:
     /// the same request hits the same deadline on any machine. `None`
     /// (the default) leaves the node budget alone. Ignored by heuristic
@@ -185,11 +171,8 @@ impl ScheduleOptions {
     pub fn new(policy: ClusterPolicy) -> Self {
         ScheduleOptions {
             policy,
-            max_ii: None,
             enum_limits: EnumLimits::default(),
             backend: SchedBackend::SwingModulo,
-            node_budget: DEFAULT_NODE_BUDGET,
-            adaptive_budget: true,
             cost_ceiling: None,
             fallback: FallbackPolicy::Heuristic,
             delay_percentile: None,
@@ -209,7 +192,9 @@ impl Default for ScheduleOptions {
     }
 }
 
-/// Modulo-schedules `kernel` for `machine`.
+/// Modulo-schedules `kernel` for `machine`, returning the full
+/// [`ScheduleOutcome`] — schedule, work counters and the backend's
+/// quality claim (heuristic / proven optimal / cutoff).
 ///
 /// Dispatches to the backend selected by [`ScheduleOptions::backend`]
 /// (default: [`SwingModulo`], the paper's §4.3.1 pipeline of latency
@@ -222,38 +207,9 @@ impl Default for ScheduleOptions {
 ///
 /// [`ScheduleError::EmptyKernel`] for empty kernels,
 /// [`ScheduleError::NoSchedule`] if no legal schedule exists up to the II
-/// limit (pathological resource pressure), and
+/// limit `2 × MII + 96` (pathological resource pressure), and
 /// [`ScheduleError::SearchCutoff`] when an exact backend exhausts its node
 /// budget with no schedule at all.
-pub fn schedule_kernel(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    options: ScheduleOptions,
-) -> Result<Schedule, ScheduleError> {
-    schedule_kernel_with_stats(kernel, machine, options).map(|(s, _)| s)
-}
-
-/// [`schedule_kernel`] returning the work counters alongside the schedule.
-///
-/// # Errors
-///
-/// Same as [`schedule_kernel`].
-pub fn schedule_kernel_with_stats(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    options: ScheduleOptions,
-) -> Result<(Schedule, SchedStats), ScheduleError> {
-    schedule_outcome(kernel, machine, options).map(|o| (o.schedule, o.stats))
-}
-
-/// [`schedule_kernel`] returning the full [`ScheduleOutcome`] — schedule,
-/// work counters and the backend's quality claim (heuristic / proven
-/// optimal / cutoff). This is the entry point callers use when the
-/// distinction matters; the tuple-returning wrappers discard the claim.
-///
-/// # Errors
-///
-/// Same as [`schedule_kernel`].
 pub fn schedule_outcome(
     kernel: &LoopKernel,
     machine: &MachineConfig,
@@ -269,7 +225,7 @@ pub fn schedule_outcome(
 ///
 /// # Errors
 ///
-/// Same as [`schedule_kernel`].
+/// Same as [`schedule_outcome`].
 pub fn schedule_outcome_traced(
     kernel: &LoopKernel,
     machine: &MachineConfig,
@@ -302,7 +258,7 @@ pub struct ScheduleProblem {
     pub rec_mii: u32,
     /// `max(res, rec, 1)` — the II search floor.
     pub mii: u32,
-    /// The II search ceiling (`options.max_ii` or `2 × MII + 96`).
+    /// The II search ceiling, `2 × MII + 96`.
     pub max_ii: u32,
     /// Per-op cluster pins known before scheduling (IPBC / NoChains).
     pub pins: Vec<Option<usize>>,
@@ -353,7 +309,7 @@ pub(crate) struct Prep {
     pub rec: u32,
     /// `max(res, rec, 1)` — the II search floor.
     pub mii0: u32,
-    /// The II search ceiling (`options.max_ii` or `2 × MII + 96`).
+    /// The II search ceiling, `2 × MII + 96`.
     pub max_ii: u32,
     /// SMS placement order.
     pub order: Vec<OpId>,
@@ -416,7 +372,7 @@ pub(crate) fn prepare<'k>(
     let res = mii::res_mii(kernel, machine);
     let rec = mii::rec_mii(&ddg, |op| latencies.latency_of(op));
     let mii0 = res.max(rec).max(1);
-    let max_ii = options.max_ii.unwrap_or(2 * mii0 + 96);
+    let max_ii = 2 * mii0 + 96;
     if trace.on() {
         trace.instant(
             "prepare.mii.bounds",
@@ -455,7 +411,7 @@ pub(crate) fn prepare<'k>(
 ///
 /// # Errors
 ///
-/// Same as [`schedule_kernel`].
+/// Same as [`schedule_outcome`].
 pub(crate) fn swing_schedule(
     kernel: &LoopKernel,
     machine: &MachineConfig,

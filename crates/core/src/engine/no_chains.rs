@@ -39,7 +39,7 @@ impl ClusterAssign for NoChains {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{schedule_kernel, ClusterPolicy, ScheduleOptions};
+    use crate::engine::{schedule_outcome, ClusterPolicy, ScheduleOptions};
     use crate::examples_443::{figure3_kernel, figure3_machine};
 
     /// §4.3.3 worked example under the ablation: chain membership is
@@ -49,8 +49,9 @@ mod tests {
     fn figure3_no_chains_splits_the_chain_to_preferences() {
         let (k, ops) = figure3_kernel();
         let m = figure3_machine();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::NoChains))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::NoChains))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty(), "resource/dependence legal");
         assert_eq!(s.op(ops.n1).cluster, 0);
         assert_eq!(s.op(ops.n2).cluster, 0);

@@ -99,8 +99,8 @@ mod tests {
     use super::*;
     use crate::chains::MemChains;
     use crate::circuits::{elementary_circuits, EnumLimits};
-    use crate::engine::{schedule_kernel, ClusterPolicy, ScheduleOptions};
-    use crate::latency::assign_latencies;
+    use crate::engine::{schedule_outcome, ClusterPolicy, ScheduleOptions};
+    use crate::latency::assign_latencies_with_pins;
     use crate::mii;
     use vliw_ir::Ddg;
     use vliw_machine::AccessClass;
@@ -165,7 +165,7 @@ mod tests {
         let (k, _ops, m) = setup();
         let g = Ddg::build(&k);
         let cs = elementary_circuits(&g, EnumLimits::default());
-        let asg = assign_latencies(&k, &g, &m, &cs);
+        let asg = assign_latencies_with_pins(&k, &g, &m, &cs, &[]);
         assert_eq!(asg.target_mii, 8);
     }
 
@@ -174,7 +174,7 @@ mod tests {
         let (k, ops, m) = setup();
         let g = Ddg::build(&k);
         let cs = elementary_circuits(&g, EnumLimits::default());
-        let asg = assign_latencies(&k, &g, &m, &cs);
+        let asg = assign_latencies_with_pins(&k, &g, &m, &cs, &[]);
         // "…achieved after assigning the local hit latency to instruction n2
         // and a latency of 4 cycles to instruction n1"
         assert_eq!(asg.latency_of(ops.n2), 1, "n2 ends at local hit");
@@ -191,7 +191,7 @@ mod tests {
         let (k, ops, m) = setup();
         let g = Ddg::build(&k);
         let cs = elementary_circuits(&g, EnumLimits::default());
-        let asg = assign_latencies(&k, &g, &m, &cs);
+        let asg = assign_latencies_with_pins(&k, &g, &m, &cs, &[]);
         // first applied step must be on the 5-node REC1 circuit
         let step1 = &asg.steps[0];
         let find = |op: OpId, class: AccessClass| {
@@ -235,7 +235,7 @@ mod tests {
         let (k, ops, m) = setup();
         let g = Ddg::build(&k);
         let cs = elementary_circuits(&g, EnumLimits::default());
-        let asg = assign_latencies(&k, &g, &m, &cs);
+        let asg = assign_latencies_with_pins(&k, &g, &m, &cs, &[]);
         let step2 = &asg.steps[1];
         let chosen = &step2.candidates[step2.chosen];
         assert_eq!(chosen.op, ops.n2);
@@ -270,8 +270,9 @@ mod tests {
     #[test]
     fn ipbc_places_chain_in_preferred_clusters() {
         let (k, ops, m) = setup();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty(), "legal schedule");
         // the n1-n2-n4 chain sits in its average preferred cluster (0)
         assert_eq!(s.op(ops.n1).cluster, 0);
@@ -285,8 +286,9 @@ mod tests {
     #[test]
     fn ibc_keeps_chain_together() {
         let (k, ops, m) = setup();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty());
         let c = s.op(ops.n1).cluster;
         assert_eq!(s.op(ops.n2).cluster, c);

@@ -262,17 +262,9 @@ pub fn available_classes(machine: &MachineConfig) -> Vec<AccessClass> {
 ///
 /// `circuits` must be the kernel's elementary circuits (recurrences); the
 /// returned assignment also stores the MII target and the reduction log.
-pub fn assign_latencies(
-    kernel: &LoopKernel,
-    ddg: &Ddg<'_>,
-    machine: &MachineConfig,
-    circuits: &[Circuit],
-) -> LatencyAssignment {
-    assign_latencies_with_pins(kernel, ddg, machine, circuits, &[])
-}
-
-/// [`assign_latencies`] with known per-op cluster pins (IPBC pre-built
-/// chains / per-op preferences), which sharpen the stall estimates.
+/// `pins` are the per-op cluster pins known before scheduling (IPBC
+/// pre-built chains / per-op preferences), which sharpen the stall
+/// estimates; pass `&[]` when no op is pinned.
 pub fn assign_latencies_with_pins(
     kernel: &LoopKernel,
     ddg: &Ddg<'_>,
@@ -463,7 +455,7 @@ mod tests {
     fn run(k: &LoopKernel, m: &MachineConfig) -> LatencyAssignment {
         let g = Ddg::build(k);
         let cs = elementary_circuits(&g, EnumLimits::default());
-        assign_latencies(k, &g, m, &cs)
+        assign_latencies_with_pins(k, &g, m, &cs, &[])
     }
 
     #[test]

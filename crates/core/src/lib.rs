@@ -37,7 +37,7 @@
 //! ```
 //! use vliw_ir::{ArrayKind, KernelBuilder, Opcode};
 //! use vliw_machine::MachineConfig;
-//! use vliw_sched::{schedule_kernel, ClusterPolicy, ScheduleOptions};
+//! use vliw_sched::{schedule_outcome, ClusterPolicy, ScheduleOptions};
 //!
 //! let mut b = KernelBuilder::new("saxpy");
 //! let x = b.array("x", 4096, ArrayKind::Heap);
@@ -50,7 +50,7 @@
 //! let kernel = b.finish(1024.0);
 //!
 //! let machine = MachineConfig::word_interleaved_4();
-//! let sched = schedule_kernel(&kernel, &machine, ScheduleOptions::new(ClusterPolicy::PreBuildChains))?;
+//! let sched = schedule_outcome(&kernel, &machine, ScheduleOptions::new(ClusterPolicy::PreBuildChains))?.schedule;
 //! assert!(sched.verify(&kernel, &machine).is_empty());
 //! # Ok::<(), vliw_sched::ScheduleError>(())
 //! ```
@@ -76,15 +76,15 @@ pub use balance::weighted_workload_balance;
 pub use chains::MemChains;
 pub use circuits::{elementary_circuits, Circuit, EnumLimits};
 pub use engine::{
-    schedule_kernel, schedule_kernel_with_stats, schedule_outcome, schedule_outcome_traced,
-    schedule_problem, AssignContext, AssignState, ClusterAssign, ClusterPolicy, DelayTracking,
-    ExactBnB, FallbackPolicy, Neighbor, SchedBackend, SchedQuality, SchedStats, ScheduleOptions,
-    ScheduleOutcome, ScheduleProblem, SchedulerBackend, SwingModulo, DEFAULT_NODE_BUDGET,
+    schedule_outcome, schedule_outcome_traced, schedule_problem, AssignContext, AssignState,
+    ClusterAssign, ClusterPolicy, DelayTracking, ExactBnB, FallbackPolicy, Neighbor, SchedBackend,
+    SchedQuality, SchedStats, ScheduleOptions, ScheduleOutcome, ScheduleProblem, SchedulerBackend,
+    SwingModulo, DEFAULT_NODE_BUDGET,
 };
 pub use hints::{attraction_hints, AttractionHints};
 pub use latency::{
-    assign_latencies, assign_latencies_with_pins, assign_profiled_latencies,
-    delay_tracking_latency, BenefitStep, CandidateEval, LatencyAssignment,
+    assign_latencies_with_pins, assign_profiled_latencies, delay_tracking_latency, BenefitStep,
+    CandidateEval, LatencyAssignment,
 };
 pub use mii::{edge_latency, rec_mii, res_mii};
 pub use mrt::{Mrt, MrtSavepoint};
@@ -92,6 +92,6 @@ pub use order::sms_order;
 pub use pressure::{max_live, max_live_per_cluster};
 pub use schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};
 pub use unroll_select::{
-    individual_unroll_factor, optimal_unroll_factor, select_unrolling, unroll_candidates,
-    SelectiveUnroll, UnrollChoice,
+    individual_unroll_factor, optimal_unroll_factor, prefer_variant, unroll_candidates,
+    UnrollChoice,
 };

@@ -292,18 +292,26 @@ impl Schedule {
                 .parse::<u64>()
                 .map_err(|e| format!("schedule header field {idx}: {e}"))
         };
-        let ii = int(2)? as u32;
-        let mii = int(4)? as u32;
-        let res_mii = int(6)? as u32;
-        let rec_mii = int(8)? as u32;
-        let target_mii = int(10)? as u32;
-        let nops = int(12)? as usize;
-        let ncopies = int(14)? as usize;
+        let int32 = |idx: usize| -> Result<u32, String> {
+            u32::try_from(int(idx)?).map_err(|e| format!("schedule header field {idx}: {e}"))
+        };
+        let ii = int32(2)?;
+        let mii = int32(4)?;
+        let res_mii = int32(6)?;
+        let rec_mii = int32(8)?;
+        let target_mii = int32(10)?;
+        let nops = usize::try_from(int(12)?).map_err(|e| format!("schedule header nops: {e}"))?;
+        let ncopies =
+            usize::try_from(int(14)?).map_err(|e| format!("schedule header ncopies: {e}"))?;
         if ii == 0 {
             return Err("schedule header: ii must be positive".into());
         }
+        let count = |n: usize, per: usize, tag: &str| {
+            n.checked_mul(per)
+                .ok_or_else(|| format!("schedule header: {n} {tag} overflow"))
+        };
 
-        let mut ints_line = |tag: &str, count: usize| -> Result<Vec<u64>, String> {
+        let mut ints_line = |tag: &str, count: usize| -> Result<Vec<u32>, String> {
             let line = lines
                 .next()
                 .ok_or_else(|| format!("missing `{tag}` line"))?;
@@ -311,7 +319,7 @@ impl Schedule {
             if it.next() != Some(tag) {
                 return Err(format!("expected `{tag}` line"));
             }
-            let vals: Result<Vec<u64>, _> = it.map(str::parse::<u64>).collect();
+            let vals: Result<Vec<u32>, _> = it.map(str::parse::<u32>).collect();
             let vals = vals.map_err(|e| format!("`{tag}` line: {e}"))?;
             if vals.len() != count {
                 return Err(format!(
@@ -322,26 +330,25 @@ impl Schedule {
             Ok(vals)
         };
 
-        let op_ints = ints_line("ops", nops * 3)?;
-        let lat_ints = ints_line("lats", nops)?;
-        let copy_ints = ints_line("copies", ncopies * 5)?;
+        let op_ints = ints_line("ops", count(nops, 3, "ops")?)?;
+        let lat = ints_line("lats", nops)?;
+        let copy_ints = ints_line("copies", count(ncopies, 5, "copies")?)?;
 
         let ops = op_ints
             .chunks_exact(3)
             .map(|c| ScheduledOp {
                 cluster: c[0] as usize,
-                cycle: c[1] as u32,
-                assumed_latency: c[2] as u32,
+                cycle: c[1],
+                assumed_latency: c[2],
             })
             .collect();
-        let lat = lat_ints.into_iter().map(|l| l as u32).collect();
         let copies = copy_ints
             .chunks_exact(5)
             .map(|c| ScheduledCopy {
                 producer: OpId::new(c[0] as usize),
                 from: c[1] as usize,
                 to: c[2] as usize,
-                cycle: c[3] as u32,
+                cycle: c[3],
                 bus: c[4] as usize,
             })
             .collect();
@@ -505,5 +512,18 @@ mod tests {
         assert!(Schedule::from_compact_text("").is_err());
         assert!(Schedule::from_compact_text(&s.replace("ncopies 1", "ncopies 2")).is_err());
         assert!(Schedule::from_compact_text(&s.replace("sched ii", "sched xx")).is_err());
+    }
+
+    #[test]
+    fn compact_text_rejects_out_of_range_fields() {
+        let s = schedule().to_compact_text();
+        // 2^32 + 1 must not wrap to II 1
+        let wrapped = s.replace("sched ii 2", "sched ii 4294967297");
+        assert!(Schedule::from_compact_text(&wrapped).is_err());
+        let big_cycle = s.replace("ops 0 0 2 1 3 1", "ops 0 0 2 1 4294967299 1");
+        assert!(Schedule::from_compact_text(&big_cycle).is_err());
+        // nops × 3 overflows u64: an error, never a panic
+        let overflow = s.replace("nops 2", "nops 6148914691236517206");
+        assert!(Schedule::from_compact_text(&overflow).is_err());
     }
 }

@@ -1,10 +1,7 @@
 //! Unrolling-factor computation and selective unrolling (§4.3.1, step 1).
 
-use vliw_ir::{unroll, LoopKernel};
+use vliw_ir::LoopKernel;
 use vliw_machine::MachineConfig;
-
-use crate::engine::{schedule_kernel, ScheduleOptions};
-use crate::schedule::{Schedule, ScheduleError};
 
 /// Which of the paper's three unrolling strategies a factor came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,81 +88,33 @@ pub fn unroll_candidates(kernel: &LoopKernel, machine: &MachineConfig) -> Vec<(U
     out
 }
 
-/// Result of selective unrolling: the chosen variant and the evaluations
-/// of every candidate.
-#[derive(Debug, Clone)]
-pub struct SelectiveUnroll {
-    /// The strategy chosen.
-    pub choice: UnrollChoice,
-    /// The unroll factor chosen.
-    pub factor: u32,
-    /// The unrolled kernel.
-    pub kernel: LoopKernel,
-    /// The schedule of the chosen kernel.
-    pub schedule: Schedule,
-    /// All candidate evaluations: `(choice, factor, II, Texec)`.
-    pub evaluated: Vec<(UnrollChoice, u32, u32, f64)>,
-}
-
-/// Runs selective unrolling: schedules the loop at each candidate factor
-/// and keeps the variant minimizing the paper's execution-time estimate
-/// `Texec = (avgiter + SC − 1) × II`.
+/// The §4.3.4 selective-unrolling comparison: whether a scheduled variant
+/// unrolled by `factor`, with execution-time estimate `texec`
+/// (`Texec = (avgiter + SC − 1) × II`, [`Schedule::texec`]), replaces the
+/// incumbent variant (`best_factor`, `best_texec`). `ouf` is the loop's
+/// [`optimal_unroll_factor`].
 ///
-/// `prepare` is invoked on each unrolled variant before scheduling — the
-/// experiment pipeline uses it to run the profiling pass (per-copy
-/// preferred clusters only exist after unrolling). Pass `|_| {}` to keep
-/// the profiles inherited from the original ops.
+/// A Texec more than 1% below the incumbent's wins outright. Texec has no
+/// stall term, so near-ties are common between the unrolled variants and
+/// factor 1: within the 1% band the OUF factor wins (that is where the
+/// locality is), then the smaller factor — unrolling past the OUF buys
+/// nothing and multiplies chains.
 ///
-/// # Errors
-///
-/// Propagates the scheduling error of the *first* candidate that fails
-/// (candidates are all-or-nothing: a loop the scheduler cannot handle at
-/// factor 1 is rejected outright).
-pub fn select_unrolling(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    options: ScheduleOptions,
-    mut prepare: impl FnMut(&mut LoopKernel),
-) -> Result<SelectiveUnroll, ScheduleError> {
-    let mut best: Option<SelectiveUnroll> = None;
-    let mut evaluated = Vec::new();
-    let ouf = optimal_unroll_factor(kernel, machine);
-    for (choice, factor) in unroll_candidates(kernel, machine) {
-        let mut unrolled = unroll(kernel, factor);
-        prepare(&mut unrolled);
-        let schedule = schedule_kernel(&unrolled, machine, options)?;
-        let texec = schedule.texec(unrolled.avg_trip);
-        evaluated.push((choice, factor, schedule.ii, texec));
-        // within a 1% Texec tie (the estimate has no stall term), prefer
-        // the OUF factor — that is where the locality is — and otherwise
-        // the smaller factor
-        let rank = |f: u32| (f == ouf, std::cmp::Reverse(f));
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                let bt = b.schedule.texec(b.kernel.avg_trip);
-                texec < bt * 0.99 || (texec <= bt * 1.01 && rank(factor) > rank(b.factor))
-            }
-        };
-        if better {
-            best = Some(SelectiveUnroll {
-                choice,
-                factor,
-                kernel: unrolled,
-                schedule,
-                evaluated: Vec::new(),
-            });
-        }
-    }
-    let mut best = best.expect("at least the factor-1 candidate exists");
-    best.evaluated = evaluated;
-    Ok(best)
+/// [`Schedule::texec`]: crate::Schedule::texec
+pub fn prefer_variant(
+    ouf: u32,
+    factor: u32,
+    texec: f64,
+    best_factor: u32,
+    best_texec: f64,
+) -> bool {
+    let rank = |f: u32| (f == ouf, std::cmp::Reverse(f));
+    texec < best_texec * 0.99 || (texec <= best_texec * 1.01 && rank(factor) > rank(best_factor))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ClusterPolicy;
     use vliw_ir::{ArrayKind, KernelBuilder};
 
     #[test]
@@ -228,28 +177,31 @@ mod tests {
     }
 
     #[test]
-    fn selection_prefers_lower_texec() {
-        // A simple strided loop: unrolling amortizes the stage count and
-        // packs more work per II, so some unrolled variant should win over
-        // no-unrolling for a long-trip loop.
-        let m = MachineConfig::word_interleaved_4();
-        let mut b = KernelBuilder::new("t");
-        let a = b.array("a", 65536, ArrayKind::Heap);
-        let out = b.array("b", 65536, ArrayKind::Heap);
-        let (_, v) = b.load("ld", a, 0, 4, 4);
-        let (_, w) = b.int_op("add", vliw_ir::Opcode::Add, &[v.into()]);
-        b.store("st", out, 0, 4, 4, w);
-        let k = b.finish(1024.0);
-        let r =
-            select_unrolling(&k, &m, ScheduleOptions::new(ClusterPolicy::Free), |_| {}).unwrap();
-        assert_eq!(r.evaluated.len(), 2); // factor 1 and OUF=4
-                                          // the chosen variant has minimal Texec among candidates
-        let chosen_texec = r.schedule.texec(r.kernel.avg_trip);
-        let min_texec = r
-            .evaluated
-            .iter()
-            .map(|e| e.3)
-            .fold(f64::INFINITY, f64::min);
-        assert!(chosen_texec <= min_texec * 1.01 + 1e-9);
+    fn strictly_lower_texec_wins() {
+        // more than 1% below the incumbent wins whatever the factors
+        assert!(prefer_variant(4, 8, 980.0, 4, 1000.0));
+        assert!(prefer_variant(4, 1, 989.0, 4, 1000.0));
+        // more than 1% above loses, even for the OUF factor
+        assert!(!prefer_variant(4, 4, 1011.0, 1, 1000.0));
+    }
+
+    #[test]
+    fn within_the_band_the_ouf_factor_wins() {
+        // 0.5% worse, but the OUF factor beats factor 1…
+        assert!(prefer_variant(4, 4, 1005.0, 1, 1000.0));
+        // …and the incumbent OUF keeps its place against a 0.5% better
+        // non-OUF variant, smaller or larger
+        assert!(!prefer_variant(4, 1, 995.0, 4, 1000.0));
+        assert!(!prefer_variant(4, 8, 995.0, 4, 1000.0));
+    }
+
+    #[test]
+    fn within_the_band_without_ouf_the_smaller_factor_wins() {
+        // OUF 8 is not among the contenders: factor 1 displaces factor 4…
+        assert!(prefer_variant(8, 1, 1005.0, 4, 1000.0));
+        // …but factor 4 does not displace factor 1
+        assert!(!prefer_variant(8, 4, 995.0, 1, 1000.0));
+        // an exact tie keeps the incumbent
+        assert!(!prefer_variant(8, 4, 1000.0, 4, 1000.0));
     }
 }

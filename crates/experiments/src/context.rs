@@ -6,8 +6,8 @@ use vliw_ir::{unroll, LoopKernel, OpId};
 use vliw_machine::MachineConfig;
 use vliw_mem::build_cache;
 use vliw_sched::{
-    attraction_hints, schedule_outcome_traced, unroll_candidates, AttractionHints, ClusterPolicy,
-    EnumLimits, FallbackPolicy, SchedBackend, SchedQuality, Schedule, ScheduleError,
+    attraction_hints, prefer_variant, schedule_outcome_traced, unroll_candidates, AttractionHints,
+    ClusterPolicy, EnumLimits, FallbackPolicy, SchedBackend, SchedQuality, Schedule, ScheduleError,
     ScheduleOptions, UnrollChoice,
 };
 use vliw_sim::{simulate_loop, LoopSimResult, SimOptions};
@@ -476,18 +476,15 @@ pub fn prepare_loop_traced(
             }
         };
         let texec = schedule.texec(kernel.avg_trip);
-        // Texec ignores stall time, so near-ties are common between the
-        // unrolled variants and factor 1. Within 1%, prefer the OUF factor
-        // (that is where the locality is), then the smaller factor —
-        // unrolling past the OUF buys nothing and multiplies chains.
-        let rank = |f: u32| (f == ouf, std::cmp::Reverse(f));
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                let bt = b.schedule.texec(b.kernel.avg_trip);
-                texec < bt * 0.99 || (texec <= bt * 1.01 && rank(factor) > rank(b.factor))
-            }
-        };
+        let better = best.as_ref().is_none_or(|b| {
+            prefer_variant(
+                ouf,
+                factor,
+                texec,
+                b.factor,
+                b.schedule.texec(b.kernel.avg_trip),
+            )
+        });
         if trace.on() {
             trace.instant(
                 "unroll.variant",
@@ -791,5 +788,41 @@ mod tests {
         assert_eq!(p_no.factor, 1);
         assert!(p_ouf.factor >= 1);
         assert_eq!(p_ouf.kernel.ops.len(), k.ops.len() * p_ouf.factor as usize);
+    }
+
+    #[test]
+    fn selection_prefers_lower_texec() {
+        // A simple strided loop: unrolling amortizes the stage count and
+        // packs more work per II, so selective unrolling must land on a
+        // variant whose Texec is minimal among the candidates.
+        use vliw_ir::{ArrayKind, KernelBuilder, Opcode};
+        let machine = MachineConfig::word_interleaved_4();
+        let mut b = KernelBuilder::new("t");
+        let a = b.array("a", 65536, ArrayKind::Heap);
+        let out = b.array("b", 65536, ArrayKind::Heap);
+        let (_, v) = b.load("ld", a, 0, 4, 4);
+        let (_, w) = b.int_op("add", Opcode::Add, &[v.into()]);
+        b.store("st", out, 0, 4, 4, w);
+        let k = b.finish(1024.0);
+        let cfg = RunConfig {
+            policy: ClusterPolicy::Free,
+            source: ProfileSource::None,
+            ..RunConfig::ipbc()
+        };
+        let chosen = prepare_loop(&k, &machine, &cfg, &ExperimentContext::quick()).unwrap();
+
+        let candidates = unroll_candidates(&k, &machine);
+        assert_eq!(candidates.len(), 2); // factor 1 and OUF = 4
+        let min_texec = candidates
+            .iter()
+            .map(|&(_, factor)| {
+                let unrolled = unroll(&k, factor);
+                let options = ScheduleOptions::new(cfg.policy);
+                let outcome = vliw_sched::schedule_outcome(&unrolled, &machine, options).unwrap();
+                outcome.schedule.texec(unrolled.avg_trip)
+            })
+            .fold(f64::INFINITY, f64::min);
+        let chosen_texec = chosen.schedule.texec(chosen.kernel.avg_trip);
+        assert!(chosen_texec <= min_texec * 1.01 + 1e-9);
     }
 }

@@ -37,7 +37,8 @@ use std::fmt;
 
 use vliw_ir::LoopKernel;
 use vliw_sched::{
-    schedule_kernel, schedule_outcome, ClusterPolicy, SchedBackend, SchedQuality, ScheduleOptions,
+    schedule_outcome, ClusterPolicy, SchedBackend, SchedQuality, ScheduleOptions,
+    DEFAULT_NODE_BUDGET,
 };
 use vliw_workloads::{profile_kernel, ArrayLayout};
 
@@ -95,8 +96,6 @@ pub struct OptGapResult {
     pub rows: Vec<OptGapRow>,
     /// Factor-1 kernels in the population.
     pub n_kernels: usize,
-    /// The node budget the exact backend ran under.
-    pub node_budget: u64,
 }
 
 impl OptGapResult {
@@ -117,7 +116,7 @@ impl OptGapResult {
         let mut t = Table::new(
             format!(
                 "Optimality gap vs exact B&B ({} factor-1 kernels, budget {})",
-                self.n_kernels, self.node_budget
+                self.n_kernels, DEFAULT_NODE_BUDGET
             ),
             &[
                 "policy", "backend", "kernels", "proven", "proven%", "matched", "better", "cutoff",
@@ -196,7 +195,7 @@ fn policy_row(
     for kernel in kernels {
         // the heuristic II is the numerator; a (pathological) heuristic
         // failure leaves no cell to compare
-        let Ok(heuristic) = schedule_kernel(kernel, machine, heuristic_opts) else {
+        let Ok(heuristic) = schedule_outcome(kernel, machine, heuristic_opts) else {
             continue;
         };
         row.kernels += 1;
@@ -207,16 +206,16 @@ fn policy_row(
                     live_sum += live as f64;
                     live_cells += 1;
                 }
-                if o.schedule.ii < heuristic.ii {
+                if o.schedule.ii < heuristic.schedule.ii {
                     row.better += 1;
                 }
                 match o.quality {
                     SchedQuality::ProvenOptimal => {
                         row.proven += 1;
-                        if heuristic.ii == o.schedule.ii {
+                        if heuristic.schedule.ii == o.schedule.ii {
                             row.matched += 1;
                         }
-                        ratio_sum += heuristic.ii as f64 / o.schedule.ii as f64;
+                        ratio_sum += heuristic.schedule.ii as f64 / o.schedule.ii as f64;
                     }
                     // the optgap study runs the default (Heuristic)
                     // fallback policy, under which exhaustion surfaces
@@ -267,7 +266,6 @@ pub fn optgap(ctx: &ExperimentContext) -> OptGapResult {
     OptGapResult {
         rows,
         n_kernels: kernels.len(),
-        node_budget: ScheduleOptions::new(ClusterPolicy::Free).node_budget,
     }
 }
 

@@ -32,7 +32,7 @@ use std::fmt;
 
 use vliw_ir::LoopKernel;
 use vliw_profile::{attach_measurements, measure_kernel_on_input, MeasureOptions, ProfileStore};
-use vliw_sched::{schedule_kernel, schedule_outcome, ClusterPolicy, SchedBackend, ScheduleOptions};
+use vliw_sched::{schedule_outcome, ClusterPolicy, SchedBackend, ScheduleOptions};
 use vliw_workloads::{profile_kernel, ArrayLayout};
 
 use crate::context::{ExperimentContext, ProfileSource, RunConfig, UnrollMode};
@@ -381,7 +381,7 @@ fn delay_suite(suite: &CollectedSuite, ctx: &ExperimentContext) -> DelaySuiteSum
     };
     let mut ratio_sum = 0.0;
     for l in &suite.loops {
-        let Ok(swing) = schedule_kernel(&l.measured, &ctx.machine, swing_opts) else {
+        let Ok(swing) = schedule_outcome(&l.measured, &ctx.machine, swing_opts) else {
             out.skipped += 1;
             continue;
         };
@@ -393,12 +393,12 @@ fn delay_suite(suite: &CollectedSuite, ctx: &ExperimentContext) -> DelaySuiteSum
         if !delay.schedule.verify(&l.measured, &ctx.machine).is_empty() {
             out.verify_failures += 1;
         }
-        match delay.schedule.ii.cmp(&swing.ii) {
+        match delay.schedule.ii.cmp(&swing.schedule.ii) {
             std::cmp::Ordering::Less => out.better += 1,
             std::cmp::Ordering::Greater => out.worse += 1,
             std::cmp::Ordering::Equal => {}
         }
-        ratio_sum += delay.schedule.ii as f64 / swing.ii as f64;
+        ratio_sum += delay.schedule.ii as f64 / swing.schedule.ii as f64;
     }
     if out.kernels > 0 {
         out.mean_ii_ratio = ratio_sum / out.kernels as f64;

@@ -67,15 +67,15 @@ use crate::context::{
     UnrollMode, VariantBuilder,
 };
 
-/// On-disk format version of [`ScheduleStore`]. Version 2 adds one
-/// `check <u64>` line per record (a [`StableHasher`] digest of the header
-/// and schedule lines) so the salvage loader can tell a torn or
-/// bit-flipped record from a good one. Version-1 stores (no check lines)
-/// are still read by both loaders.
+/// On-disk format version of [`ScheduleStore`], the only one this build
+/// reads. Each record carries a `check <u64>` line (a [`StableHasher`]
+/// digest of its header and schedule lines) so the salvage loader can
+/// tell a torn or bit-flipped record from a good one.
 pub const SCHED_STORE_VERSION: u32 = 2;
 
-/// Oldest store version [`ScheduleStore::from_text`] still reads.
-pub const SCHED_STORE_MIN_VERSION: u32 = 1;
+/// Lines per store record: `entry` header, four schedule lines, `check`,
+/// `endentry`.
+const STORE_RECORD_LINES: usize = 7;
 
 /// Default shard count of a [`SchedCache`].
 pub const DEFAULT_SHARDS: usize = 16;
@@ -917,7 +917,8 @@ impl StoreEntry {
         )
     }
 
-    fn parse_header(line: &str) -> Result<Self, String> {
+    /// Parses one record's header line and schedule block.
+    fn parse(line: &str, sched_text: &str) -> Result<Self, String> {
         let t: Vec<&str> = line.split_whitespace().collect();
         if t.len() != 26 || t[0] != "entry" {
             return Err(format!("bad entry header: `{line}`"));
@@ -950,14 +951,12 @@ impl StoreEntry {
             name: t[1].to_string(),
             key,
             choice: parse_choice(field(18, "choice")?)?,
-            factor: int(field(20, "factor")?)? as u32,
+            factor: u32::try_from(int(field(20, "factor")?)?)
+                .map_err(|e| format!("entry header: factor: {e}"))?,
             prepared_fp: int(field(22, "pfp")?)?,
             quality: parse_quality(field(24, "quality")?)?,
-            // placeholder; the caller parses the schedule block next
-            schedule: Schedule::from_compact_text(
-                "sched ii 1 mii 1 res 1 rec 1 tmii 1 nops 0 ncopies 0\nops\nlats\ncopies\n",
-            )
-            .expect("placeholder schedule parses"),
+            schedule: Schedule::from_compact_text(sched_text)
+                .map_err(|e| format!("entry `{}`: {e}", t[1]))?,
         })
     }
 }
@@ -966,8 +965,7 @@ impl StoreEntry {
 /// the measured-profile store: plain text, integers only, deterministic
 /// (entries sorted), byte-exact round-trips, committed-file diffable.
 ///
-/// Format (version 2; version-1 stores lack the `check` line and are
-/// still read):
+/// Format (version 2, the only version read):
 ///
 /// ```text
 /// vliw-sched-store 2
@@ -980,12 +978,13 @@ impl StoreEntry {
 /// endentry
 /// ```
 ///
-/// Two loaders share the format: [`ScheduleStore::from_text`] is strict
-/// (any framing, token or checksum error rejects the file — the loader
-/// for stores this build wrote), while [`ScheduleStore::from_text_salvage`]
+/// Both loaders run the same record scan. [`ScheduleStore::from_text_salvage`]
 /// never errors — it skips records that fail their checksum or parse,
 /// stops at broken framing, counts everything it dropped in a
-/// [`SalvageReport`], and serves the surviving records. A torn or
+/// [`SalvageReport`], and serves the surviving records.
+/// [`ScheduleStore::from_text`] is strict: it rejects the file unless the
+/// scan dropped nothing and the declared count equals the number of
+/// distinct keys (the loader for stores this build wrote). A torn or
 /// bit-flipped store therefore degrades hit rate, never correctness or
 /// availability.
 #[derive(Debug, Clone, Default)]
@@ -1025,6 +1024,110 @@ fn record_checksum(header: &str, sched_text: &str) -> u64 {
     h.write_str(header);
     h.write_str(sched_text);
     h.finish()
+}
+
+/// One pass over a store's text, shared by both loaders.
+#[derive(Default)]
+struct StoreScan {
+    /// Every record that passed its checksum and parse.
+    store: ScheduleStore,
+    /// Where every record went.
+    report: SalvageReport,
+    /// The `entries <N>` count, if that line parses.
+    declared: Option<usize>,
+    /// Why the prelude or the first dropped record failed — the strict
+    /// loader's error.
+    first_error: Option<String>,
+}
+
+impl StoreScan {
+    fn run(text: &str) -> Self {
+        let mut scan = StoreScan::default();
+        let lines: Vec<&str> = text.lines().collect();
+        let Some(&prelude) = lines.first() else {
+            scan.reject_version("empty store".into());
+            return scan;
+        };
+        match prelude
+            .strip_prefix("vliw-sched-store ")
+            .map(str::parse::<u32>)
+        {
+            Some(Ok(SCHED_STORE_VERSION)) => {}
+            Some(Ok(version)) => {
+                scan.reject_version(format!(
+                    "store version {version}, this build reads version {SCHED_STORE_VERSION}"
+                ));
+                return scan;
+            }
+            _ => {
+                scan.reject_version(format!("bad header: `{prelude}`"));
+                return scan;
+            }
+        }
+        scan.declared = lines
+            .get(1)
+            .and_then(|l| l.strip_prefix("entries "))
+            .and_then(|n| n.parse().ok());
+        let mut i = 2;
+        while i < lines.len() {
+            let line_no = i + 1;
+            let Some(record) = lines.get(i..i + STORE_RECORD_LINES) else {
+                scan.drop_truncated(format!("line {line_no}: truncated record"));
+                break;
+            };
+            let header = record[0];
+            if !header.starts_with("entry ") || record[STORE_RECORD_LINES - 1] != "endentry" {
+                scan.drop_truncated(format!("line {line_no}: broken record framing"));
+                break;
+            }
+            let sched_text = record[1..5].join("\n") + "\n";
+            let stored = record[5]
+                .strip_prefix("check ")
+                .and_then(|c| c.parse::<u64>().ok());
+            let computed = record_checksum(header, &sched_text);
+            let entry = if stored == Some(computed) {
+                StoreEntry::parse(header, &sched_text)
+            } else {
+                Err("checksum mismatch".into())
+            };
+            match entry {
+                Ok(e) => {
+                    scan.store.insert(e);
+                    scan.report.recovered += 1;
+                }
+                Err(e) => {
+                    scan.report.dropped_corrupt += 1;
+                    scan.note(format!("record at line {line_no}: {e}"));
+                }
+            }
+            i += STORE_RECORD_LINES;
+        }
+        // records the damage swallowed wholesale (truncation past whole
+        // records): the declared count still names them
+        if let Some(n) = scan.declared {
+            let rep = &scan.report;
+            let seen = rep.recovered + rep.dropped_corrupt + rep.dropped_truncated;
+            if seen < n {
+                scan.report.dropped_truncated += n - seen;
+                scan.note(format!("store declares {n} entries but holds {seen}"));
+            }
+        }
+        scan
+    }
+
+    fn reject_version(&mut self, err: String) {
+        self.report.version_rejected = true;
+        self.note(err);
+    }
+
+    fn drop_truncated(&mut self, err: String) {
+        self.report.dropped_truncated += 1;
+        self.note(err);
+    }
+
+    fn note(&mut self, err: String) {
+        self.first_error.get_or_insert(err);
+    }
 }
 
 impl ScheduleStore {
@@ -1094,70 +1197,23 @@ impl ScheduleStore {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first framing or token error; a
-    /// version mismatch is an error (stale major format, not silently
-    /// reinterpreted).
+    /// Returns a description of the first framing, token or checksum
+    /// error, of a declared entry count that differs from the number of
+    /// distinct keys, or of a version mismatch (stale major format, not
+    /// silently reinterpreted).
     pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty store")?;
-        let mut it = header.split_whitespace();
-        if it.next() != Some("vliw-sched-store") {
-            return Err(format!("bad header: `{header}`"));
+        let scan = StoreScan::run(text);
+        if let Some(err) = scan.first_error {
+            return Err(err);
         }
-        let version: u32 = it
-            .next()
-            .ok_or("missing version")?
-            .parse()
-            .map_err(|e| format!("bad version: {e}"))?;
-        if !(SCHED_STORE_MIN_VERSION..=SCHED_STORE_VERSION).contains(&version) {
-            return Err(format!(
-                "store version {version}, this build reads versions \
-                 {SCHED_STORE_MIN_VERSION}..={SCHED_STORE_VERSION}"
-            ));
-        }
-        let counts = lines.next().ok_or("missing entry count")?;
-        let n: usize = counts
-            .strip_prefix("entries ")
-            .ok_or_else(|| format!("bad count line: `{counts}`"))?
-            .parse()
-            .map_err(|e| format!("bad count: {e}"))?;
-        let mut store = ScheduleStore::new();
-        for _ in 0..n {
-            let head = lines.next().ok_or("missing entry header")?;
-            let mut entry = StoreEntry::parse_header(head)?;
-            let sched_lines: Vec<&str> = (0..4)
-                .map(|_| lines.next().ok_or("truncated schedule block"))
-                .collect::<Result<_, _>>()?;
-            let sched_text = sched_lines.join("\n") + "\n";
-            entry.schedule = Schedule::from_compact_text(&sched_text)
-                .map_err(|e| format!("entry `{}`: {e}", entry.name))?;
-            if version >= 2 {
-                let check_line = lines.next().ok_or("missing check line")?;
-                let stored: u64 = check_line
-                    .strip_prefix("check ")
-                    .ok_or_else(|| format!("entry `{}`: bad check line", entry.name))?
-                    .parse()
-                    .map_err(|e| format!("entry `{}`: bad checksum: {e}", entry.name))?;
-                let computed = record_checksum(head, &sched_text);
-                if stored != computed {
-                    return Err(format!(
-                        "entry `{}`: checksum mismatch (stored {stored}, computed {computed})",
-                        entry.name
-                    ));
-                }
-            }
-            if lines.next() != Some("endentry") {
-                return Err(format!("entry `{}`: missing endentry", entry.name));
-            }
-            store.insert(entry);
-        }
-        if store.len() != n {
-            return Err(format!(
+        match scan.declared {
+            Some(n) if n == scan.store.len() => Ok(scan.store),
+            Some(n) => Err(format!(
                 "store declares {n} entries but {} distinct keys",
-                store.len()
-            ));
+                scan.store.len()
+            )),
+            None => Err("missing or bad entry count line".into()),
         }
-        Ok(store)
     }
 
     /// Parses a (possibly damaged) store, recovering every record whose
@@ -1166,85 +1222,23 @@ impl ScheduleStore {
     ///
     /// Rules:
     ///
-    /// * A prelude naming an unreadable version — or too damaged to parse
-    ///   — salvages nothing (`version_rejected`; a reinterpreted framing
+    /// * A prelude naming another version — or too damaged to parse —
+    ///   salvages nothing (`version_rejected`; a reinterpreted framing
     ///   would be worse than an empty cache).
     /// * A record whose framing is intact but whose checksum or tokens
     ///   fail is skipped (`dropped_corrupt`) and the scan continues —
-    ///   later records survive.
+    ///   later records survive. The checksum is checked before any token
+    ///   is parsed.
     /// * Broken framing (a line where `entry`/`endentry` should be, or
     ///   end-of-file mid-record) ends the scan: alignment downstream of
     ///   the break cannot be trusted. The partial record and every
     ///   declared record after it count as `dropped_truncated`.
     ///
-    /// Version-1 records carry no checksum, so for them only parse
-    /// failures count as corrupt; the serving path still verifies every
-    /// schedule against the rebuilt kernel before trusting it
-    /// (`rebuild`), for either version.
+    /// The serving path still verifies every salvaged schedule against
+    /// the rebuilt kernel before trusting it (`rebuild`).
     pub fn from_text_salvage(text: &str) -> (Self, SalvageReport) {
-        let mut rep = SalvageReport::default();
-        let mut store = ScheduleStore::new();
-        let lines: Vec<&str> = text.lines().collect();
-        let version: Option<u32> = lines
-            .first()
-            .and_then(|l| l.strip_prefix("vliw-sched-store "))
-            .and_then(|v| v.parse().ok())
-            .filter(|v| (SCHED_STORE_MIN_VERSION..=SCHED_STORE_VERSION).contains(v));
-        let Some(version) = version else {
-            rep.version_rejected = true;
-            return (store, rep);
-        };
-        let declared: Option<usize> = lines
-            .get(1)
-            .and_then(|l| l.strip_prefix("entries "))
-            .and_then(|n| n.parse().ok());
-        // entry + 4 sched lines + (v2: check) + endentry
-        let rec_lines = if version >= 2 { 7 } else { 6 };
-        let mut i = 2;
-        while i < lines.len() {
-            if i + rec_lines > lines.len() {
-                rep.dropped_truncated += 1; // partial record at the tail
-                break;
-            }
-            let header = lines[i];
-            if !header.starts_with("entry ") || lines[i + rec_lines - 1] != "endentry" {
-                rep.dropped_truncated += 1; // framing broken: stop here
-                break;
-            }
-            let sched_text = lines[i + 1..i + 5].join("\n") + "\n";
-            let checksum_ok = if version >= 2 {
-                lines[i + 5]
-                    .strip_prefix("check ")
-                    .and_then(|c| c.parse::<u64>().ok())
-                    .is_some_and(|stored| stored == record_checksum(header, &sched_text))
-            } else {
-                true
-            };
-            let entry = checksum_ok
-                .then(|| {
-                    let mut e = StoreEntry::parse_header(header).ok()?;
-                    e.schedule = Schedule::from_compact_text(&sched_text).ok()?;
-                    Some(e)
-                })
-                .flatten();
-            match entry {
-                Some(e) => {
-                    store.insert(e);
-                    rep.recovered += 1;
-                }
-                None => rep.dropped_corrupt += 1,
-            }
-            i += rec_lines;
-        }
-        // records the damage swallowed wholesale (truncation past whole
-        // records): the declared count still names them
-        if let Some(n) = declared {
-            let seen = rep.recovered + rep.dropped_corrupt + rep.dropped_truncated;
-            if seen < n {
-                rep.dropped_truncated += n - seen;
-            }
-        }
-        (store, rep)
+        let scan = StoreScan::run(text);
+        (scan.store, scan.report)
     }
 
     /// Writes the store to `path`, creating parent directories. The
@@ -1316,5 +1310,72 @@ impl ScheduleStore {
     pub fn load_salvage(path: &Path) -> Result<(Self, SalvageReport), String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(Self::from_text_salvage(&text))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const EMPTY_SCHED: &str =
+        "sched ii 1 mii 1 res 1 rec 1 tmii 1 nops 0 ncopies 0\nops\nlats\ncopies\n";
+
+    /// A one-record store text whose checksum matches `header` + `sched`,
+    /// so the loaders get past the integrity check and reach the tokens.
+    fn one_record_store(header: &str, sched: &str) -> String {
+        let check = record_checksum(header, sched);
+        format!("vliw-sched-store {SCHED_STORE_VERSION}\nentries 1\n{header}\n{sched}check {check}\nendentry\n")
+    }
+
+    fn header() -> String {
+        StoreEntry {
+            name: "k".into(),
+            key: CacheKey {
+                kernel_fp: 1,
+                env_fp: 2,
+                arch: ArchVariant::WordInterleaved,
+                policy: ClusterPolicy::PreBuildChains,
+                backend: SchedBackend::SwingModulo,
+                source: ProfileSource::Synthetic,
+                unroll: UnrollMode::Selective,
+                padding: true,
+            },
+            choice: UnrollChoice::None,
+            factor: 1,
+            prepared_fp: 3,
+            quality: SchedQuality::Heuristic,
+            schedule: Schedule::from_compact_text(EMPTY_SCHED).expect("empty schedule parses"),
+        }
+        .header_line()
+    }
+
+    #[test]
+    fn out_of_range_record_fields_are_refused() {
+        let healthy = one_record_store(&header(), EMPTY_SCHED);
+        assert_eq!(ScheduleStore::from_text(&healthy).map(|s| s.len()), Ok(1));
+
+        let cases = [
+            // nops × 3 overflows: must not panic
+            one_record_store(
+                &header(),
+                &EMPTY_SCHED.replace("nops 0", "nops 6148914691236517206"),
+            ),
+            // 2^32 + 1 must not wrap to II 1
+            one_record_store(
+                &header(),
+                &EMPTY_SCHED.replace("sched ii 1", "sched ii 4294967297"),
+            ),
+            // nor to factor 1
+            one_record_store(
+                &header().replace("factor 1", "factor 4294967297"),
+                EMPTY_SCHED,
+            ),
+        ];
+        for text in &cases {
+            assert!(ScheduleStore::from_text(text).is_err(), "{text}");
+            let (store, rep) = ScheduleStore::from_text_salvage(text);
+            assert!(store.is_empty(), "{text}");
+            assert_eq!(rep.dropped_corrupt, 1, "{text}");
+        }
     }
 }

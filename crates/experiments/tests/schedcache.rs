@@ -587,11 +587,12 @@ fn salvage_recovers_exactly_the_intact_prefix() {
     assert_eq!(rep.recovered, n_records - 1, "the scan continues past it");
 }
 
-/// Version-1 stores (no per-record checksum) are still read by both
-/// loaders: the strict parser accepts them wholesale and the salvage
-/// parser recovers every record with the shorter framing.
+/// Version-1 stores (no per-record checksum) are no longer read: the
+/// strict loader refuses the file naming its version, and the salvage
+/// loader rejects the prelude instead of reinterpreting the shorter
+/// framing.
 #[test]
-fn version1_store_still_loads() {
+fn version1_store_is_refused() {
     let ctx = ctx();
     let kernels = kernels(&ctx);
     let cfg = configs()[0];
@@ -601,9 +602,10 @@ fn version1_store_still_loads() {
         cache.prepare(k, &machine, &cfg, &ctx).expect("schedules");
     }
     let v2_text = cache.export_store().to_text();
-    // the persisted (round-tripped) records are the comparison baseline:
-    // serialization drops the latency-assignment derivation trace
-    let store = ScheduleStore::from_text(&v2_text).expect("v2 store parses");
+    assert!(
+        ScheduleStore::from_text(&v2_text).is_ok(),
+        "v2 store parses"
+    );
 
     // rewrite the v2 text in v1 form: drop the check lines, bump the
     // version token down
@@ -621,23 +623,14 @@ fn version1_store_still_loads() {
         .join("\n")
         + "\n";
 
-    let strict = ScheduleStore::from_text(&v1_text).expect("v1 store still parses strictly");
-    assert_eq!(strict.len(), store.len());
-    for e in store.entries() {
-        assert_eq!(strict.get(&e.key), Some(e), "v1 record drifted");
-    }
+    let err = ScheduleStore::from_text(&v1_text).expect_err("v1 stores are not read");
+    assert!(
+        err.contains("version 1"),
+        "error must name the version: {err}"
+    );
 
     let (salvaged, rep) = ScheduleStore::from_text_salvage(&v1_text);
-    assert_eq!(rep.recovered, store.len());
-    assert_eq!(rep.dropped(), 0);
-    assert!(!rep.version_rejected);
-    assert_eq!(salvaged.len(), store.len());
-
-    // a v1 cache still serves: rebuilds hit, nothing is stale
-    let warm = SchedCache::with_store(strict);
-    for k in &kernels {
-        warm.prepare(k, &machine, &cfg, &ctx).expect("rebuilds");
-    }
-    assert_eq!(warm.store_hits(), kernels.len() as u64);
-    assert_eq!(warm.stale(), 0);
+    assert!(rep.version_rejected);
+    assert_eq!(rep.recovered, 0);
+    assert!(salvaged.is_empty());
 }

@@ -6,7 +6,7 @@ use vliw_ir::{LoopKernel, OpId};
 use vliw_machine::MachineConfig;
 use vliw_mem::{build_cache, AccessObserver, AccessOutcome, AccessRequest, ObservedCache};
 use vliw_sched::{
-    schedule_kernel, AttractionHints, ClusterPolicy, EnumLimits, SchedBackend, ScheduleError,
+    schedule_outcome, AttractionHints, ClusterPolicy, EnumLimits, SchedBackend, ScheduleError,
     ScheduleOptions,
 };
 use vliw_sim::{simulate_loop, SimOptions};
@@ -307,7 +307,7 @@ pub fn measure_kernel(
         backend: SchedBackend::SwingModulo,
         ..ScheduleOptions::new(options.policy)
     };
-    let schedule = schedule_kernel(kernel, machine, sched_opts)?;
+    let schedule = schedule_outcome(kernel, machine, sched_opts)?.schedule;
     let hints = AttractionHints::allow_all(kernel);
     let mut cache = ObservedCache::new(
         build_cache(machine),
@@ -377,7 +377,7 @@ pub fn measure_kernel_stream(
         backend: SchedBackend::SwingModulo,
         ..ScheduleOptions::new(options.policy)
     };
-    let schedule = schedule_kernel(kernel, machine, sched_opts)?;
+    let schedule = schedule_outcome(kernel, machine, sched_opts)?.schedule;
     let hints = AttractionHints::allow_all(kernel);
     let mut cache = ObservedCache::new(
         build_cache(machine),

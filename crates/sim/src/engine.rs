@@ -474,7 +474,7 @@ mod tests {
     use super::*;
     use vliw_ir::{ArrayKind, KernelBuilder, MemProfile, Opcode};
     use vliw_mem::build_cache;
-    use vliw_sched::{schedule_kernel, ClusterPolicy, ScheduleOptions};
+    use vliw_sched::{schedule_outcome, ClusterPolicy, ScheduleOptions};
 
     fn sim(
         kernel: &LoopKernel,
@@ -482,7 +482,9 @@ mod tests {
         policy: ClusterPolicy,
         cap: u64,
     ) -> (Schedule, LoopSimResult) {
-        let schedule = schedule_kernel(kernel, machine, ScheduleOptions::new(policy)).unwrap();
+        let schedule = schedule_outcome(kernel, machine, ScheduleOptions::new(policy))
+            .unwrap()
+            .schedule;
         assert!(schedule.verify(kernel, machine).is_empty());
         let mut cache = build_cache(machine);
         let hints = AttractionHints::allow_all(kernel);

@@ -3,11 +3,11 @@
 //!
 //! Run with `cargo run --example unrolling_tour`.
 
-use interleaved_vliw::ir::{ArrayKind, KernelBuilder, Opcode};
+use interleaved_vliw::ir::{unroll, ArrayKind, KernelBuilder, Opcode};
 use interleaved_vliw::machine::MachineConfig;
 use interleaved_vliw::sched::{
-    individual_unroll_factor, optimal_unroll_factor, select_unrolling, ClusterPolicy,
-    ScheduleOptions,
+    individual_unroll_factor, optimal_unroll_factor, prefer_variant, schedule_outcome,
+    unroll_candidates, ClusterPolicy, ScheduleOptions,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,23 +40,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ouf = optimal_unroll_factor(&kernel, &machine);
     println!("\nloop OUF = lcm(4, 8) = {ouf}");
 
-    // selective unrolling schedules all three variants and compares Texec
-    let sel = select_unrolling(
-        &kernel,
-        &machine,
-        ScheduleOptions::new(ClusterPolicy::PreBuildChains),
-        |_| {},
-    )?;
+    // selective unrolling schedules every candidate variant and keeps the
+    // one `prefer_variant` ranks best by Texec = (avgiter + SC - 1) x II —
+    // the same rule the experiment pipeline's `prepare_loop` applies
+    let options = ScheduleOptions::new(ClusterPolicy::PreBuildChains);
     println!("\nselective unrolling evaluated:");
-    for (choice, factor, ii, texec) in &sel.evaluated {
-        println!("  {choice:<14} factor {factor:>2}: II {ii:>3}, Texec {texec:>9.0}");
+    let mut best = None;
+    for (choice, factor) in unroll_candidates(&kernel, &machine) {
+        let unrolled = unroll(&kernel, factor);
+        let schedule = schedule_outcome(&unrolled, &machine, options)?.schedule;
+        let texec = schedule.texec(unrolled.avg_trip);
+        println!(
+            "  {:<14} factor {factor:>2}: II {:>3}, Texec {texec:>9.0}",
+            choice.to_string(),
+            schedule.ii
+        );
+        let better = best
+            .as_ref()
+            .is_none_or(|&(_, f, t, _, _)| prefer_variant(ouf, factor, texec, f, t));
+        if better {
+            best = Some((choice, factor, texec, schedule.ii, unrolled.ops.len()));
+        }
     }
-    println!(
-        "\nchosen: {} (factor {}) -> II {} with {} ops in the kernel",
-        sel.choice,
-        sel.factor,
-        sel.schedule.ii,
-        sel.kernel.ops.len()
-    );
+    let (choice, factor, _, ii, n_ops) = best.expect("factor 1 is always a candidate");
+    println!("\nchosen: {choice} (factor {factor}) -> II {ii} with {n_ops} ops in the kernel");
     Ok(())
 }

@@ -15,9 +15,9 @@ use interleaved_vliw::experiments::{optgap, ExperimentContext};
 use interleaved_vliw::ir::{ArrayKind, KernelBuilder, LoopKernel, Opcode, SrcOperand};
 use interleaved_vliw::machine::MachineConfig;
 use interleaved_vliw::sched::{
-    schedule_kernel, schedule_outcome, ClusterPolicy, MemChains, SchedBackend, SchedQuality,
-    ScheduleOptions,
+    schedule_outcome, ClusterPolicy, MemChains, SchedBackend, SchedQuality, ScheduleOptions,
 };
+use interleaved_vliw::trace::Trace;
 use interleaved_vliw::workloads::rng::StdRng;
 
 fn exact_opts(policy: ClusterPolicy) -> ScheduleOptions {
@@ -41,8 +41,9 @@ fn exact_backend_dominates_every_heuristic_on_the_suite() {
     let mut proven = 0usize;
     for kernel in &kernels {
         for policy in ClusterPolicy::ALL {
-            let heuristic = schedule_kernel(kernel, &machine, ScheduleOptions::new(policy))
-                .expect("factor-1 suite kernels schedule");
+            let heuristic = schedule_outcome(kernel, &machine, ScheduleOptions::new(policy))
+                .expect("factor-1 suite kernels schedule")
+                .schedule;
             let out = schedule_outcome(kernel, &machine, exact_opts(policy))
                 .expect("exact backend inherits the incumbent");
             cells += 1;
@@ -151,8 +152,9 @@ fn exact_backend_dominates_on_seeded_random_kernels() {
     for case in 0..20 {
         let kernel = random_kernel(&mut rng, case);
         let policy = ClusterPolicy::ALL[rng.random_range(0..4usize)];
-        let heuristic = schedule_kernel(&kernel, &machine, ScheduleOptions::new(policy))
-            .expect("small random kernels schedule");
+        let heuristic = schedule_outcome(&kernel, &machine, ScheduleOptions::new(policy))
+            .expect("small random kernels schedule")
+            .schedule;
         let out = schedule_outcome(&kernel, &machine, exact_opts(policy)).unwrap();
         assert!(
             out.schedule.ii <= heuristic.ii,
@@ -173,14 +175,24 @@ fn exact_backend_dominates_on_seeded_random_kernels() {
 
 #[test]
 fn tuple_entry_points_agree_with_outcomes() {
-    // the tuple-returning wrappers and the outcome entry point dispatch
-    // through the same backend: bit-identical schedules either way
+    // the free entry point and a direct call of the backend it selects
+    // agree bit for bit: the schedule and counters callers project out of
+    // an outcome do not depend on the route taken
     let (kernels, machine) = suite_kernels();
     let kernel = &kernels[0];
     for backend in SchedBackend::ALL {
         let opts = ScheduleOptions::new(ClusterPolicy::PreBuildChains).with_backend(backend);
-        let via_tuple = schedule_kernel(kernel, &machine, opts).unwrap();
-        let via_outcome = schedule_outcome(kernel, &machine, opts).unwrap().schedule;
-        assert_eq!(via_tuple, via_outcome, "{}", backend.name());
+        let via_entry = schedule_outcome(kernel, &machine, opts).unwrap();
+        let via_backend = backend
+            .backend()
+            .schedule(kernel, &machine, &opts, Trace::off())
+            .unwrap();
+        assert_eq!(
+            via_entry.schedule,
+            via_backend.schedule,
+            "{}",
+            backend.name()
+        );
+        assert_eq!(via_entry.stats, via_backend.stats, "{}", backend.name());
     }
 }

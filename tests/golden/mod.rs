@@ -24,7 +24,7 @@ use interleaved_vliw::ir::{
     unroll, ArrayKind, KernelBuilder, LoopKernel, Opcode, SrcOperand, StableHasher,
 };
 use interleaved_vliw::machine::MachineConfig;
-use interleaved_vliw::sched::{schedule_kernel_with_stats, ClusterPolicy, ScheduleOptions};
+use interleaved_vliw::sched::{schedule_outcome, ClusterPolicy, ScheduleOptions};
 use interleaved_vliw::workloads::rng::StdRng;
 use interleaved_vliw::workloads::{profile_kernel, spec_by_name, synthesize, ArrayLayout};
 
@@ -50,7 +50,9 @@ fn case_line(
     policy: ClusterPolicy,
     label: &str,
 ) -> String {
-    match schedule_kernel_with_stats(kernel, machine, ScheduleOptions::new(policy)) {
+    match schedule_outcome(kernel, machine, ScheduleOptions::new(policy))
+        .map(|o| (o.schedule, o.stats))
+    {
         Ok((s, st)) => {
             let mut h = StableHasher::new();
             h.write_str(&s.to_compact_text());

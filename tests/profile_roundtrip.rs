@@ -6,7 +6,7 @@
 use interleaved_vliw::experiments::{profile_fidelity, ExperimentContext};
 use interleaved_vliw::ir::{LatencyProfile, LoopKernel};
 use interleaved_vliw::profile::{attach_measurements, kernel_fingerprint, ProfileStore};
-use interleaved_vliw::sched::{schedule_kernel, ClusterPolicy, SchedBackend, ScheduleOptions};
+use interleaved_vliw::sched::{schedule_outcome, ClusterPolicy, SchedBackend, ScheduleOptions};
 
 fn tiny_ctx() -> ExperimentContext {
     let mut ctx = ExperimentContext::quick();
@@ -75,8 +75,8 @@ fn reloaded_profiles_schedule_bit_identically() {
             }
             .with_backend(backend);
             for (a, b) in suite.loops.iter().zip(&from_store) {
-                let x = schedule_kernel(&a.measured, &ctx.machine, opts);
-                let y = schedule_kernel(b, &ctx.machine, opts);
+                let x = schedule_outcome(&a.measured, &ctx.machine, opts).map(|o| o.schedule);
+                let y = schedule_outcome(b, &ctx.machine, opts).map(|o| o.schedule);
                 match (x, y) {
                     (Ok(x), Ok(y)) => assert_eq!(
                         x,

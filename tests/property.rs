@@ -12,7 +12,7 @@ use interleaved_vliw::ir::{
 use interleaved_vliw::machine::{AccessClass, MachineConfig};
 use interleaved_vliw::mem::{AccessRequest, CoherentCache, DataCache, InterleavedCache};
 use interleaved_vliw::sched::{
-    optimal_unroll_factor, schedule_kernel, ClusterPolicy, MemChains, ScheduleOptions,
+    optimal_unroll_factor, schedule_outcome, ClusterPolicy, MemChains, ScheduleOptions,
 };
 use interleaved_vliw::workloads::rng::StdRng;
 
@@ -208,8 +208,9 @@ fn schedules_are_always_legal() {
         let policy = ClusterPolicy::ALL[rng.random_range(0..4usize)];
         let kernel = build_kernel(&ops, &chains, recur);
         let machine = MachineConfig::word_interleaved_4();
-        let s = schedule_kernel(&kernel, &machine, ScheduleOptions::new(policy))
-            .expect("generated kernels are schedulable");
+        let s = schedule_outcome(&kernel, &machine, ScheduleOptions::new(policy))
+            .expect("generated kernels are schedulable")
+            .schedule;
         let errs = s.verify(&kernel, &machine);
         assert!(
             errs.is_empty(),
