@@ -43,6 +43,11 @@ enabled only for the trace pass, disabled (`Trace::off()`) for every
 timed pass. A missing trace section means the guard measured a binary
 without the probes, which is not the configuration that ships.
 
+Finally, every section present in both records must still emit every
+metric the baseline names: a baseline key the fresh record lacks is a
+dead comparison (a retired metric), and must be deleted from the
+baseline in the change that retires it.
+
 Usage: check_sched_regression.py BASELINE.json FRESH.json [threshold]
 """
 
@@ -50,11 +55,14 @@ import json
 import sys
 
 
-def figure_metrics(path, figure):
+def figures(path):
     with open(path) as f:
-        doc = json.load(f)
+        return json.load(f).get("figures", {})
+
+
+def figure_metrics(path, figure):
     try:
-        return doc["figures"][figure]["metrics"]
+        return figures(path)[figure]["metrics"]
     except KeyError:
         return None
 
@@ -124,6 +132,7 @@ def main():
         figure_metrics(sys.argv[2], "optgap"),
     )
     failed |= check_trace(figure_metrics(sys.argv[2], "trace"))
+    failed |= check_stale_keys(figures(sys.argv[1]), figures(sys.argv[2]))
 
     if failed:
         return 1
@@ -232,6 +241,25 @@ def check_trace(fresh):
             "sched guard measured with tracing compiled in and disabled "
             "(zero-overhead-when-off configuration)"
         )
+    return failed
+
+
+def check_stale_keys(baseline, fresh):
+    """Every metric the baseline names in a section the fresh record also
+    carries must still be emitted; otherwise the baseline holds a dead
+    comparison that no guard reads."""
+    failed = False
+    for section in sorted(set(baseline) & set(fresh)):
+        b = baseline[section].get("metrics", {})
+        f = fresh[section].get("metrics", {})
+        for key in sorted(set(b) - set(f)):
+            print(
+                f"FAIL: baseline {section} names `{key}`, which the fresh record "
+                "lacks — delete the retired key from the baseline"
+            )
+            failed = True
+    if not failed:
+        print("baseline names no metric the fresh record lacks")
     return failed
 
 

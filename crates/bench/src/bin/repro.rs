@@ -541,7 +541,8 @@ fn main() {
     if want("batch") {
         // the scheduling-as-a-service study: drain a replicated suite
         // queue through the sharded schedule cache cold, warm and from
-        // the round-tripped on-disk store, with work-stealing workers
+        // the round-tripped on-disk store, with parallel workers claiming
+        // requests most expensive first
         let t0 = Instant::now();
         let mut opts = if scale == "quick" {
             batch::BatchOptions::quick()

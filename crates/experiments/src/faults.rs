@@ -45,7 +45,7 @@ use vliw_sched::{FallbackPolicy, SchedBackend, SchedQuality};
 use vliw_trace::Trace;
 use vliw_workloads::rng::StdRng;
 
-use crate::batch::{build_requests, drain, drain_serial, fold, BatchRequest, Drain};
+use crate::batch::{build_requests, drain, fold, BatchRequest, Drain};
 use crate::context::{prepare_loop, ExperimentContext, RunConfig, UnrollMode};
 use crate::report::Table;
 use crate::schedcache::{PrepareFn, SalvageReport, SchedCache, ScheduleStore};
@@ -432,7 +432,7 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
     // cache is one shim generation (each victim panics once per cache)
     let serial_cache =
         SchedCache::with_shards(opts.shards).into_preparer(panic_shim(Arc::clone(&victims)));
-    let serial = drain_serial(&serial_cache, &requests, ctx, Trace::off());
+    let serial = drain(&serial_cache, &requests, ctx, 1, Trace::off());
     let cache =
         SchedCache::with_shards(opts.shards).into_preparer(panic_shim(Arc::clone(&victims)));
     let cold = drain(&cache, &requests, ctx, opts.workers, Trace::off());
@@ -449,12 +449,7 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
             .map(|t| t == healthy)
             .unwrap_or(false);
     std::fs::remove_file(&path).ok();
-    std::fs::remove_file(path.with_file_name(format!(
-        "{}.tmp.{}",
-        path.file_name().unwrap_or_default().to_string_lossy(),
-        std::process::id()
-    )))
-    .ok();
+    std::fs::remove_file(ScheduleStore::temp_sibling(&path)).ok();
 
     // corruption lanes: flips + truncation on one copy, version tamper
     // on another; salvage the first, reject the second

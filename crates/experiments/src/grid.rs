@@ -5,7 +5,9 @@
 //!
 //! A [`RunGrid`] is built from labeled configurations (figure bars) or a
 //! [`GridAxes`] cross-product, then executed with [`RunGrid::run`]
-//! (parallel) or [`RunGrid::run_serial`]. Cells are independent and
+//! (parallel) or [`RunGrid::run_serial`]. Cells run on the same job queue
+//! as the batch drains: workers claim cells most expensive first and each
+//! result lands in its cell's slot. Cells are independent and
 //! deterministic, and the schedule memo only *shares* results, so a
 //! parallel run is bit-identical to a serial one —
 //! [`GridResult::fingerprint`] makes that checkable.
@@ -23,17 +25,15 @@
 //! }
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
-
 use vliw_sched::{ClusterPolicy, SchedBackend};
+use vliw_trace::Trace;
 use vliw_workloads::{spec_by_name, synthesize, BenchmarkModel};
 
 use crate::context::{
     run_benchmark_memo, ArchVariant, BenchRun, ExperimentContext, ProfileSource, RunConfig,
     UnrollMode,
 };
+use crate::queue::run_queue;
 use crate::report::amean;
 use crate::schedcache::SchedCache;
 
@@ -162,7 +162,7 @@ impl GridAxes {
 /// How a grid's cells are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
-    /// One cell at a time, in declaration order.
+    /// One cell at a time, on the calling thread.
     Serial,
     /// A fixed number of worker threads.
     Threads(usize),
@@ -185,7 +185,7 @@ impl Parallelism {
         match self {
             Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => thread::available_parallelism()
+            Parallelism::Auto => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
         }
@@ -279,7 +279,7 @@ impl RunGrid {
         self.run_with(ctx, Parallelism::from_env())
     }
 
-    /// Executes every cell serially, in declaration order.
+    /// Executes every cell serially, on the calling thread.
     pub fn run_serial(&self, ctx: &ExperimentContext) -> GridResult {
         self.run_with(ctx, Parallelism::Serial)
     }
@@ -299,27 +299,22 @@ impl RunGrid {
         par: Parallelism,
     ) -> GridResult {
         let n_cfg = self.configs.len();
-        let n_models = models.len();
-        let cells_total = n_models * n_cfg;
         let memo = SchedCache::new();
-        let slots: Vec<Mutex<Option<BenchRun>>> =
-            (0..cells_total).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = par.workers().min(cells_total.max(1));
 
-        // The work queue, sharded by per-cell cost: heavy cells (the
-        // exact search, and any cell whose measured profile source runs
-        // a whole profiling simulation per loop) are dispatched first
-        // and cheap heuristic cells back-fill the workers, so a sweep
-        // over `SchedBackend::ALL` does not end on a long tail of one
-        // worker grinding exact cells while the rest sit idle. The sort
-        // is stable, so within a shard the claim order stays
-        // config-major: concurrent workers start on *different*
-        // benchmarks, rarely contending on a memo slot, and a benchmark's
-        // later configs hit warm entries (or block on the in-flight
-        // computation instead of repeating it). Cells are independent and
-        // land in their own slots, so the dispatch order cannot change
-        // any result — serial and parallel runs stay bit-identical.
+        // Cells are bench-major: cell `j` is benchmark `j / n_cfg` under
+        // config `j % n_cfg`. The dispatch order is sorted by per-cell
+        // cost: heavy cells (the exact search, and any cell whose
+        // measured profile source runs a whole profiling simulation per
+        // loop) go first and cheap heuristic cells back-fill the workers,
+        // so a sweep over `SchedBackend::ALL` does not end on a long tail
+        // of one worker grinding exact cells while the rest sit idle. The
+        // sort is stable over a config-major enumeration, so within a
+        // cost class concurrent workers start on *different* benchmarks,
+        // rarely contending on a memo slot, and a benchmark's later
+        // configs hit warm entries (or block on the in-flight computation
+        // instead of repeating it). The queue returns cells in index
+        // order, so the dispatch order cannot change any result — serial
+        // and parallel runs stay bit-identical.
         let cell_cost = |cfg: &RunConfig| {
             let measure = match cfg.source {
                 ProfileSource::Measured => 3,
@@ -327,34 +322,15 @@ impl RunGrid {
             };
             cfg.backend.cost_rank() + measure
         };
-        let mut queue: Vec<usize> = (0..cells_total).collect();
-        queue.sort_by_key(|&i| std::cmp::Reverse(cell_cost(&self.configs[i / n_models].1)));
-
-        let work = |_worker: usize| loop {
-            let q = next.fetch_add(1, Ordering::Relaxed);
-            if q >= cells_total {
-                break;
-            }
-            let i = queue[q];
-            let (b, c) = (i % n_models, i / n_models);
-            let run = run_benchmark_memo(&models[b], &self.configs[c].1, ctx, Some(&memo));
-            *slots[b * n_cfg + c].lock().expect("cell slot") = Some(run);
-        };
-
-        if workers <= 1 {
-            work(0);
-        } else {
-            thread::scope(|s| {
-                for w in 0..workers {
-                    s.spawn(move || work(w));
-                }
-            });
-        }
-
-        let cells: Vec<BenchRun> = slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("cell lock").expect("cell computed"))
+        let mut order: Vec<usize> = (0..n_cfg)
+            .flat_map(|c| (0..models.len()).map(move |b| b * n_cfg + c))
             .collect();
+        order.sort_by_key(|&j| std::cmp::Reverse(cell_cost(&self.configs[j % n_cfg].1)));
+
+        let cells = run_queue(&order, par.workers(), Trace::off(), |j, _| {
+            let (b, c) = (j / n_cfg, j % n_cfg);
+            run_benchmark_memo(&models[b], &self.configs[c].1, ctx, Some(&memo))
+        });
         GridResult {
             benches: models.iter().map(|m| m.name.clone()).collect(),
             configs: self.configs.clone(),

@@ -52,6 +52,7 @@ pub mod hints_exp;
 pub mod interleave_study;
 pub mod optgap;
 pub mod profile_fidelity;
+mod queue;
 pub mod report;
 pub mod schedcache;
 pub mod smt;

@@ -157,26 +157,22 @@ pub fn backend_quality_table(result: &GridResult) -> Table {
 
 /// Renders the schedule-cache health summary of a batch run: one row per
 /// shard with the full counter set — including `inflight_waits` (threads
-/// that blocked on another's in-flight fill of the same cell) and
-/// `evictions` (completed cells dropped under a capacity cap) — then one
+/// that blocked on another's in-flight fill of the same cell) — then one
 /// `failed` row per slot still marked failed, carrying the contained
 /// panic's reason in the `note` column. Clean runs have no `failed` rows.
 pub fn shard_health_table(report: &BatchReport) -> Table {
-    let mut t = Table::new(
-        "Schedule-cache shard health (cold parallel pass)",
-        &[
-            "shard",
-            "entries",
-            "hits",
-            "prepares",
-            "inflight_waits",
-            "map_contended",
-            "evictions",
-            "panics",
-            "recovered",
-            "note",
-        ],
-    );
+    let headers = [
+        "shard",
+        "entries",
+        "hits",
+        "prepares",
+        "inflight_waits",
+        "map_contended",
+        "panics",
+        "recovered",
+        "note",
+    ];
+    let mut t = Table::new("Schedule-cache shard health (cold parallel pass)", &headers);
     for (i, s) in report.cold_shards.iter().enumerate() {
         t.row(vec![
             i.to_string(),
@@ -185,15 +181,15 @@ pub fn shard_health_table(report: &BatchReport) -> Table {
             s.prepares.to_string(),
             s.inflight_waits.to_string(),
             s.map_contended.to_string(),
-            s.evictions.to_string(),
             s.panics_contained.to_string(),
             s.slots_recovered.to_string(),
             String::new(),
         ]);
     }
     for reason in &report.failed_slot_reasons {
+        // every counter column is blank: between `shard` and `note`
         let mut row = vec!["failed".to_string()];
-        row.extend((0..8).map(|_| "-".to_string()));
+        row.extend((2..headers.len()).map(|_| "-".to_string()));
         row.push(reason.clone());
         t.row(row);
     }
@@ -246,6 +242,29 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into()]);
+    }
+
+    #[test]
+    fn shard_health_table_renders_failed_slots() {
+        let report = BatchReport {
+            cold_shards: vec![Default::default(); 2],
+            failed_slot_reasons: vec!["injected panic".into()],
+            ..Default::default()
+        };
+        let t = shard_health_table(&report);
+        let csv = t.to_csv();
+        let failed = csv
+            .lines()
+            .find(|l| l.starts_with("failed,"))
+            .expect("a failed row");
+        let cells: Vec<&str> = failed.split(',').collect();
+        assert_eq!(cells.len(), t.headers.len());
+        assert_eq!(cells.last(), Some(&"injected panic"));
+        assert!(
+            cells[1..cells.len() - 1].iter().all(|&c| c == "-"),
+            "{failed}"
+        );
+        assert!(t.render().contains("injected panic"));
     }
 
     #[test]

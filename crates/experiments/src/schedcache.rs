@@ -21,14 +21,8 @@
 //!   the first computer (one preparation per key, ever), while requests
 //!   for other cells — even in the same shard — proceed as soon as the
 //!   map lock is released. `try_lock` front-ends count real contention
-//!   per shard.
-//! * **Capacity** ([`SchedCache::into_capped`]): optionally each shard
-//!   keeps at most N *completed* entries, evicting the least recently
-//!   used (per-shard logical clock; hits count as use) after every
-//!   insertion. The default is unbounded — exactly the historical
-//!   behavior — and eviction never touches an in-flight preparation, so
-//!   the one-preparation-per-key-at-a-time guarantee is unaffected;
-//!   an evicted key simply prepares again on its next request.
+//!   per shard. A completed cell stays resident for the life of the
+//!   cache.
 //! * **Store** ([`ScheduleStore`]): completed cells can be exported to a
 //!   versioned text form and fed back into a fresh cache. A warm hit
 //!   rebuilds the prepared kernel (unroll + profile — no candidate
@@ -324,13 +318,7 @@ enum SlotState {
 }
 
 /// One key's entry. The slot's own mutex is the in-flight guard.
-#[derive(Debug, Default)]
-struct Slot {
-    data: Mutex<SlotState>,
-    /// Logical timestamp of the last touch (hit or insert), drawn from
-    /// the owning shard's clock — the LRU rank under a capacity cap.
-    last_used: AtomicU64,
-}
+type Slot = Mutex<SlotState>;
 
 #[derive(Debug, Default)]
 struct ShardStats {
@@ -340,7 +328,6 @@ struct ShardStats {
     stale: AtomicU64,
     inflight_waits: AtomicU64,
     map_contended: AtomicU64,
-    evictions: AtomicU64,
     panics_contained: AtomicU64,
     slots_recovered: AtomicU64,
 }
@@ -349,9 +336,6 @@ struct ShardStats {
 struct Shard {
     map: Mutex<HashMap<CacheKey, Arc<Slot>>>,
     stats: ShardStats,
-    /// Monotonic logical clock stamping [`Slot::last_used`] on every
-    /// touch; per shard, so stamping never crosses shard cache lines.
-    clock: AtomicU64,
 }
 
 /// A per-shard counter snapshot (see [`SchedCache::shard_counters`]).
@@ -373,9 +357,6 @@ pub struct ShardCounters {
     /// Times the shard's map lock was busy on arrival (real lock-striping
     /// contention; the map lock is only held to resolve key → slot).
     pub map_contended: u64,
-    /// Completed cells evicted to honor the shard's capacity cap (always
-    /// 0 for an unbounded cache).
-    pub evictions: u64,
     /// Preparation panics contained at the slot boundary (`catch_unwind`):
     /// each one failed its own request with
     /// [`ScheduleError::PreparationPanicked`] and marked the slot
@@ -405,8 +386,6 @@ pub type PrepareFn = dyn Fn(
 pub struct SchedCache {
     shards: Vec<Shard>,
     store: Option<ScheduleStore>,
-    /// Completed-entry cap per shard; `None` (the default) never evicts.
-    per_shard_cap: Option<usize>,
     /// Slot-fill override (`None` =
     /// [`prepare_loop`](crate::context::prepare_loop)).
     preparer: Option<Arc<PrepareFn>>,
@@ -417,7 +396,6 @@ impl std::fmt::Debug for SchedCache {
         f.debug_struct("SchedCache")
             .field("shards", &self.shards.len())
             .field("store", &self.store.as_ref().map(ScheduleStore::len))
-            .field("per_shard_cap", &self.per_shard_cap)
             .field("custom_preparer", &self.preparer.is_some())
             .finish()
     }
@@ -441,16 +419,8 @@ impl SchedCache {
         SchedCache {
             shards: (0..n.max(1)).map(|_| Shard::default()).collect(),
             store: None,
-            per_shard_cap: None,
             preparer: None,
         }
-    }
-
-    /// An empty cache ([`DEFAULT_SHARDS`] shards) that keeps at most
-    /// `per_shard_cap` completed entries per shard, evicting the least
-    /// recently used beyond that. See [`SchedCache::into_capped`].
-    pub fn with_capacity(per_shard_cap: usize) -> Self {
-        Self::new().into_capped(per_shard_cap)
     }
 
     /// A cache warmed by `store`: lookups that miss in memory consult the
@@ -462,16 +432,6 @@ impl SchedCache {
     /// This cache, backed by `store` (keeps the shard layout).
     pub fn into_stored(mut self, store: ScheduleStore) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// This cache, capped at `per_shard_cap` *completed* entries per
-    /// shard. After each insertion the shard evicts least-recently-used
-    /// completed cells (a hit counts as use) until it is back at the cap;
-    /// in-flight preparations are never evicted. A cap of 0 caches
-    /// nothing while still deduplicating concurrent same-key work.
-    pub fn into_capped(mut self, per_shard_cap: usize) -> Self {
-        self.per_shard_cap = Some(per_shard_cap);
         self
     }
 
@@ -489,11 +449,6 @@ impl SchedCache {
         self.shards.len()
     }
 
-    /// The completed-entry cap per shard (`None` = unbounded).
-    pub fn per_shard_capacity(&self) -> Option<usize> {
-        self.per_shard_cap
-    }
-
     /// Number of cached schedules (completed preparations).
     pub fn len(&self) -> usize {
         self.shards
@@ -501,7 +456,7 @@ impl SchedCache {
             .map(|s| {
                 let map = lock_recover(&s.map);
                 map.values()
-                    .filter(|slot| matches!(*lock_recover(&slot.data), SlotState::Ready(_)))
+                    .filter(|slot| matches!(*lock_recover(slot), SlotState::Ready(_)))
                     .count()
             })
             .sum()
@@ -541,11 +496,6 @@ impl SchedCache {
         self.sum(|s| &s.stale)
     }
 
-    /// Completed cells evicted under the capacity cap.
-    pub fn evictions(&self) -> u64 {
-        self.sum(|s| &s.evictions)
-    }
-
     /// Preparation panics contained at the slot boundary.
     pub fn panics_contained(&self) -> u64 {
         self.sum(|s| &s.panics_contained)
@@ -575,7 +525,7 @@ impl SchedCache {
             .flat_map(|s| {
                 let map = lock_recover(&s.map);
                 map.values()
-                    .filter_map(|slot| match &*lock_recover(&slot.data) {
+                    .filter_map(|slot| match &*lock_recover(slot) {
                         SlotState::Failed(reason) => Some(reason.clone()),
                         _ => None,
                     })
@@ -592,7 +542,7 @@ impl SchedCache {
                 let entries = {
                     let map = lock_recover(&s.map);
                     map.values()
-                        .filter(|slot| matches!(*lock_recover(&slot.data), SlotState::Ready(_)))
+                        .filter(|slot| matches!(*lock_recover(slot), SlotState::Ready(_)))
                         .count() as u64
                 };
                 ShardCounters {
@@ -603,7 +553,6 @@ impl SchedCache {
                     stale: s.stats.stale.load(Ordering::Relaxed),
                     inflight_waits: s.stats.inflight_waits.load(Ordering::Relaxed),
                     map_contended: s.stats.map_contended.load(Ordering::Relaxed),
-                    evictions: s.stats.evictions.load(Ordering::Relaxed),
                     panics_contained: s.stats.panics_contained.load(Ordering::Relaxed),
                     slots_recovered: s.stats.slots_recovered.load(Ordering::Relaxed),
                 }
@@ -672,7 +621,7 @@ impl SchedCache {
         // the slot lock is held across the computation: waiters for the
         // same key block here (instead of duplicating the dominant cost),
         // while cells with other keys proceed untouched
-        let mut guard = match slot.data.try_lock() {
+        let mut guard = match slot.try_lock() {
             Ok(g) => g,
             Err(TryLockError::WouldBlock) => {
                 shard.stats.inflight_waits.fetch_add(1, Ordering::Relaxed);
@@ -683,21 +632,15 @@ impl SchedCache {
                 } else {
                     None
                 };
-                lock_recover(&slot.data)
+                lock_recover(&slot)
             }
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
-        };
-        let touch = || {
-            let stamp = shard.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            slot.last_used.store(stamp, Ordering::Relaxed);
         };
         match &*guard {
             SlotState::Ready(hit) => {
                 shard.stats.hits.fetch_add(1, Ordering::Relaxed);
                 trace.instant("cache.hit", &[("shard", sh)]);
-                let hit = Arc::clone(hit);
-                touch();
-                return Ok(hit);
+                return Ok(Arc::clone(hit));
             }
             SlotState::Failed(_) => {
                 // a previous filler panicked; this request adopts the
@@ -715,9 +658,6 @@ impl SchedCache {
                     trace.instant("cache.store_hit", &[("shard", sh)]);
                     let p = Arc::new(p);
                     *guard = SlotState::Ready(Arc::clone(&p));
-                    touch();
-                    drop(guard);
-                    self.enforce_capacity(shard);
                     return Ok(p);
                 }
                 Err(_) => {
@@ -761,49 +701,7 @@ impl SchedCache {
             }
         };
         *guard = SlotState::Ready(Arc::clone(&prepared));
-        touch();
-        // the slot guard must be released before the map lock is taken:
-        // every other path orders map → slot, and eviction keeps that
-        // order by only ever try-locking slot data under the map lock
-        drop(guard);
-        self.enforce_capacity(shard);
         Ok(prepared)
-    }
-
-    /// Evicts least-recently-used completed cells until `shard` is back
-    /// at the capacity cap. In-flight slots (data lock held elsewhere)
-    /// are skipped — they are about to become the most recent anyway.
-    /// Outstanding `Arc`s keep an evicted preparation alive for holders;
-    /// eviction only drops the cache's reference.
-    fn enforce_capacity(&self, shard: &Shard) {
-        let Some(cap) = self.per_shard_cap else {
-            return;
-        };
-        let mut map = lock_recover(&shard.map);
-        loop {
-            let mut completed = 0usize;
-            let mut victim: Option<(CacheKey, u64)> = None;
-            for (k, slot) in map.iter() {
-                let g = match slot.data.try_lock() {
-                    Ok(g) => g,
-                    Err(TryLockError::Poisoned(e)) => e.into_inner(),
-                    Err(TryLockError::WouldBlock) => continue,
-                };
-                if matches!(*g, SlotState::Ready(_)) {
-                    completed += 1;
-                    let used = slot.last_used.load(Ordering::Relaxed);
-                    if victim.is_none_or(|(_, u)| used < u) {
-                        victim = Some((*k, used));
-                    }
-                }
-            }
-            if completed <= cap {
-                break;
-            }
-            let (k, _) = victim.expect("completed > cap implies a victim");
-            map.remove(&k);
-            shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Exports every completed cell into a [`ScheduleStore`].
@@ -812,7 +710,7 @@ impl SchedCache {
         for shard in &self.shards {
             let map = lock_recover(&shard.map);
             for (key, slot) in map.iter() {
-                if let SlotState::Ready(p) = &*lock_recover(&slot.data) {
+                if let SlotState::Ready(p) = &*lock_recover(slot) {
                     store.insert(StoreEntry {
                         name: p.kernel.name.clone(),
                         key: *key,
@@ -1285,7 +1183,7 @@ impl ScheduleStore {
     /// The temporary-file path [`ScheduleStore::save`] writes before the
     /// rename: a sibling of `path` (same filesystem, so the rename is
     /// atomic), suffixed with the process id.
-    fn temp_sibling(path: &Path) -> std::path::PathBuf {
+    pub(crate) fn temp_sibling(path: &Path) -> std::path::PathBuf {
         let mut name = path.file_name().unwrap_or_default().to_os_string();
         name.push(format!(".tmp.{}", std::process::id()));
         path.with_file_name(name)

@@ -116,70 +116,6 @@ fn thread_storm_prepares_each_key_exactly_once() {
     assert_eq!(cache.stale(), 0);
 }
 
-/// A capped cache evicts the least-recently-used completed cell (a hit
-/// refreshes recency), counts every eviction, and simply re-prepares an
-/// evicted key on its next request; the unbounded default never evicts.
-#[test]
-fn capped_cache_evicts_least_recently_used() {
-    let ctx = ctx();
-    let base = kernels(&ctx)[0].clone();
-    let cfg = configs()[0];
-    let machine = ctx.machine_for(&cfg);
-    // distinct bodies → distinct structural keys, all in the one shard
-    let variants: Vec<LoopKernel> = (0..4)
-        .map(|i| {
-            let mut k = base.clone();
-            k.avg_trip = base.avg_trip + 8.0 * (i + 1) as f64;
-            k
-        })
-        .collect();
-    let prep = |cache: &SchedCache, i: usize| {
-        cache
-            .prepare(&variants[i], &machine, &cfg, &ctx)
-            .expect("schedules")
-    };
-
-    let cache = SchedCache::with_shards(1).into_capped(2);
-    assert_eq!(cache.per_shard_capacity(), Some(2));
-    prep(&cache, 0);
-    prep(&cache, 1);
-    assert_eq!(cache.len(), 2);
-    assert_eq!(cache.evictions(), 0, "at cap, nothing evicts");
-    // touch v0 so v1 becomes the LRU victim of the next insertion
-    prep(&cache, 0);
-    assert_eq!(cache.hits(), 1);
-    prep(&cache, 2);
-    assert_eq!(cache.len(), 2, "the cap holds");
-    assert_eq!(cache.evictions(), 1);
-    // v0 survived (recently used) …
-    prep(&cache, 0);
-    assert_eq!(cache.hits(), 2);
-    // … and the evicted v1 is prepared afresh, displacing the LRU v2
-    let before = cache.prepares();
-    prep(&cache, 1);
-    assert_eq!(cache.prepares(), before + 1, "evicted keys re-prepare");
-    assert_eq!(cache.evictions(), 2);
-    let per_shard: u64 = cache.shard_counters().iter().map(|s| s.evictions).sum();
-    assert_eq!(per_shard, cache.evictions(), "counters surface evictions");
-
-    let unbounded = SchedCache::with_shards(1);
-    assert_eq!(unbounded.per_shard_capacity(), None);
-    for i in 0..variants.len() {
-        prep(&unbounded, i);
-    }
-    assert_eq!(unbounded.len(), variants.len());
-    assert_eq!(unbounded.evictions(), 0, "the default never evicts");
-
-    // cap 0 caches nothing but still answers correctly
-    let nothing = SchedCache::with_shards(1).into_capped(0);
-    prep(&nothing, 0);
-    prep(&nothing, 0);
-    assert_eq!(nothing.len(), 0);
-    assert_eq!(nothing.hits(), 0);
-    assert_eq!(nothing.prepares(), 2);
-    assert_eq!(nothing.evictions(), 2);
-}
-
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("vliw-schedcache-{}-{name}", std::process::id()))
 }
