@@ -22,9 +22,10 @@ import json
 import sys
 
 # Every instrumented stage must appear at least once in the repro trace:
-# the prepare pipeline, both scheduler backends, the cache fill path,
+# the prepare pipeline (profiling included), both scheduler backends, the cache fill path,
 # the unroll-selection driver and the simulator.
 REQUIRED_SPANS = [
+    "prepare.profile",
     "prepare.ddg",
     "prepare.pins",
     "prepare.latency",

@@ -1,8 +1,9 @@
 //! The experiment pipeline: profile → unroll → schedule → simulate.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
-use vliw_ir::{unroll, LoopKernel, OpId};
+use vliw_ir::{unroll, LoopKernel};
 use vliw_machine::MachineConfig;
 use vliw_mem::build_cache;
 use vliw_sched::{
@@ -13,7 +14,8 @@ use vliw_sched::{
 use vliw_sim::{simulate_loop, LoopSimResult, SimOptions};
 use vliw_trace::Trace;
 use vliw_workloads::{
-    profile_kernel, suite, synthesize, ArrayLayout, BenchmarkModel, ProfileOptions, WorkloadConfig,
+    address_streams, profile_kernel, suite, synthesize, ArrayLayout, BenchmarkModel,
+    ProfileOptions, WorkloadConfig,
 };
 
 use crate::schedcache::SchedCache;
@@ -254,18 +256,6 @@ pub struct PreparedLoop {
     pub factor: u32,
 }
 
-/// Profiles `kernel` in place on the *profile* input and returns it.
-pub(crate) fn profiled(
-    mut kernel: LoopKernel,
-    machine: &MachineConfig,
-    ctx: &ExperimentContext,
-    padding: bool,
-) -> LoopKernel {
-    let layout = ArrayLayout::new(&kernel, machine, padding, ctx.workloads.profile_input);
-    profile_kernel(&mut kernel, machine, &layout, &ctx.profile);
-    kernel
-}
-
 /// Replaces `kernel`'s synthetic profiles with *measured* ones: runs the
 /// synthetic pipeline's schedule through the timing simulator on the
 /// profile input (`vliw-profile`) and attaches the derived measurements.
@@ -300,7 +290,13 @@ fn measured(
 }
 
 /// Builds the unroll variants of one original kernel per a
-/// configuration's profile source.
+/// configuration's profile source, profiling each distinct kernel once.
+///
+/// The factor-1 kernel is profiled on first use (the OUF analysis and the
+/// factor-1 variant share that one pass); an unrolled variant is
+/// profiled from the raw original, which is sound because [`unroll`]
+/// copies profiles without reading them and [`profile_kernel`] overwrites
+/// every memory operation's. Every pass records a `prepare.profile` span.
 ///
 /// For the `Measured` source, factor 1 is measured **once** (on first
 /// use) and kept as a [`StreamProfile`]; the measurements of every
@@ -310,44 +306,67 @@ fn measured(
 /// derivation rejects (mis-aligned sample counts) falls back to direct
 /// re-measurement of that variant.
 pub(crate) struct VariantBuilder<'a> {
-    original: LoopKernel,
+    raw: &'a LoopKernel,
+    original: OnceCell<LoopKernel>,
     stream: Option<vliw_profile::StreamProfile>,
     machine: &'a MachineConfig,
     cfg: &'a RunConfig,
     ctx: &'a ExperimentContext,
+    trace: Trace<'a>,
 }
 
 use vliw_profile::StreamProfile;
 
 impl<'a> VariantBuilder<'a> {
-    /// Profiles `original` per the source axis and wraps it for variant
-    /// building.
+    /// Wraps the raw `original` for variant building; nothing is
+    /// profiled yet.
     pub(crate) fn new(
-        original: &LoopKernel,
+        original: &'a LoopKernel,
         machine: &'a MachineConfig,
         cfg: &'a RunConfig,
         ctx: &'a ExperimentContext,
+        trace: Trace<'a>,
     ) -> Self {
-        // hit rates steer the OUF analysis: profile the original first
-        // (the OUF analysis always runs on synthetic profiles —
-        // measurement needs a per-variant schedule, which does not exist
-        // yet at this point)
-        let original = match cfg.source {
-            ProfileSource::None => original.clone(),
-            _ => profiled(original.clone(), machine, ctx, cfg.padding),
-        };
         VariantBuilder {
-            original,
+            raw: original,
+            original: OnceCell::new(),
             stream: None,
             machine,
             cfg,
             ctx,
+            trace,
         }
     }
 
-    /// The (synthetically profiled) factor-1 kernel.
+    /// `kernel` profiled on the profile input under a `prepare.profile`
+    /// span.
+    fn profiled(&self, mut kernel: LoopKernel) -> LoopKernel {
+        let _span = if self.trace.on() {
+            Some(self.trace.span("prepare.profile"))
+        } else {
+            None
+        };
+        let layout = ArrayLayout::new(
+            &kernel,
+            self.machine,
+            self.cfg.padding,
+            self.ctx.workloads.profile_input,
+        );
+        profile_kernel(&mut kernel, self.machine, &layout, &self.ctx.profile);
+        kernel
+    }
+
+    /// The factor-1 kernel: synthetically profiled (on first use) unless
+    /// the source is `None`. Hit rates steer the OUF analysis, which
+    /// always runs on synthetic profiles — measurement needs a
+    /// per-variant schedule, which does not exist yet at that point.
     pub(crate) fn original(&self) -> &LoopKernel {
-        &self.original
+        match self.cfg.source {
+            ProfileSource::None => self.raw,
+            _ => self
+                .original
+                .get_or_init(|| self.profiled(self.raw.clone())),
+        }
     }
 
     /// The factor-1 measurement stream, taken on first use.
@@ -359,7 +378,7 @@ impl<'a> VariantBuilder<'a> {
                 sim: self.ctx.sim,
             };
             self.stream = Some(vliw_profile::measure_kernel_stream_on_input(
-                &self.original,
+                self.original(),
                 self.machine,
                 self.cfg.padding,
                 self.ctx.workloads.profile_input,
@@ -375,28 +394,23 @@ impl<'a> VariantBuilder<'a> {
     ///
     /// Propagates bootstrap scheduling failures of the measurement run.
     pub(crate) fn build(&mut self, factor: u32) -> Result<LoopKernel, ScheduleError> {
-        let (machine, ctx, cfg) = (self.machine, self.ctx, self.cfg);
-        match cfg.source {
-            ProfileSource::None => Ok(unroll(&self.original, factor)),
-            ProfileSource::Synthetic => Ok(profiled(
-                unroll(&self.original, factor),
-                machine,
-                ctx,
-                cfg.padding,
-            )),
-            ProfileSource::Measured => {
-                let mut kernel =
-                    profiled(unroll(&self.original, factor), machine, ctx, cfg.padding);
-                match self.stream()?.derive_unrolled(&kernel, factor, machine) {
-                    Ok(lp) => {
-                        vliw_profile::attach_measurements(&mut kernel, &lp)
-                            .expect("a derived measurement matches the kernel it was derived for");
-                        Ok(kernel)
-                    }
-                    Err(_) => measured(kernel, machine, cfg, ctx),
-                }
+        if self.cfg.source == ProfileSource::None {
+            return Ok(unroll(self.raw, factor));
+        }
+        let mut kernel = if factor == 1 {
+            self.original().clone()
+        } else {
+            self.profiled(unroll(self.raw, factor))
+        };
+        if self.cfg.source == ProfileSource::Measured {
+            let (machine, ctx, cfg) = (self.machine, self.ctx, self.cfg);
+            match self.stream()?.derive_unrolled(&kernel, factor, machine) {
+                Ok(lp) => vliw_profile::attach_measurements(&mut kernel, &lp)
+                    .expect("a derived measurement matches the kernel it was derived for"),
+                Err(_) => kernel = measured(kernel, machine, cfg, ctx)?,
             }
         }
+        Ok(kernel)
     }
 }
 
@@ -448,7 +462,7 @@ pub fn prepare_loop_traced(
         None
     };
     let opts = schedule_options(cfg, ctx);
-    let mut builder = VariantBuilder::new(original, machine, cfg, ctx);
+    let mut builder = VariantBuilder::new(original, machine, cfg, ctx, trace);
     let ouf = vliw_sched::optimal_unroll_factor(builder.original(), machine);
     let candidates: Vec<(UnrollChoice, u32)> = match cfg.unroll {
         UnrollMode::NoUnroll => vec![(UnrollChoice::None, 1)],
@@ -683,10 +697,7 @@ pub fn run_benchmark_memo(
             ctx.workloads.exec_input,
         );
         let mut cache = build_cache(&machine);
-        let kernel_for_addr = prepared.kernel.clone();
-        let mut addresses = move |op: OpId, iter: u64| {
-            vliw_workloads::address_for(&kernel_for_addr, &layout, op, iter)
-        };
+        let mut addresses = address_streams(&prepared.kernel, &layout);
         let sim = simulate_loop(
             &prepared.kernel,
             &prepared.schedule,

@@ -652,7 +652,7 @@ impl SchedCache {
             SlotState::Empty => {}
         }
         if let Some(entry) = self.store.as_ref().and_then(|s| s.get(&key)) {
-            match rebuild(entry, original, machine, cfg, ctx) {
+            match rebuild(entry, original, machine, cfg, ctx, trace) {
                 Ok(p) => {
                     shard.stats.store_hits.fetch_add(1, Ordering::Relaxed);
                     trace.instant("cache.store_hit", &[("shard", sh)]);
@@ -728,17 +728,19 @@ impl SchedCache {
 }
 
 /// Rebuilds a [`PreparedLoop`] from a store entry: re-derives the
-/// prepared kernel (unroll + profile at the stored factor — no candidate
-/// scheduling), then accepts the stored schedule only if the rebuilt
-/// kernel's fingerprint matches and the schedule verifies against it.
+/// prepared kernel (unroll + profile at the stored factor only — one
+/// profiling pass, no candidate scheduling), then accepts the stored
+/// schedule only if the rebuilt kernel's fingerprint matches and the
+/// schedule verifies against it.
 fn rebuild(
     entry: &StoreEntry,
     original: &LoopKernel,
     machine: &MachineConfig,
     cfg: &RunConfig,
     ctx: &ExperimentContext,
+    trace: Trace<'_>,
 ) -> Result<PreparedLoop, String> {
-    let mut builder = VariantBuilder::new(original, machine, cfg, ctx);
+    let mut builder = VariantBuilder::new(original, machine, cfg, ctx, trace);
     let kernel = builder.build(entry.factor).map_err(|e| e.to_string())?;
     let fp = kernel_fingerprint(&kernel);
     if fp != entry.prepared_fp {

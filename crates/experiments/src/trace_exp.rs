@@ -7,8 +7,8 @@
 //! 1. a **cold drain** of a small batch queue through a fresh
 //!    [`SchedCache`] with one worker (serial order ⇒ the logical-clock
 //!    event stream is identical across runs) — `cache.miss`/`cache.fill`,
-//!    the full `prepare.*` pipeline, `backend.swing`, and the worker's
-//!    `batch.queue_depth` samples on track 1;
+//!    the full `prepare.*` pipeline (profiling included), `backend.swing`,
+//!    and the worker's `batch.queue_depth` samples on track 1;
 //! 2. a **warm drain** of the same queue — `cache.hit` instants;
 //! 3. one **traced simulation** of a prepared loop — the `sim.loop` span
 //!    and `sim.window` stall-attribution instants;
@@ -27,7 +27,7 @@
 use vliw_sched::{AttractionHints, SchedBackend};
 use vliw_sim::simulate_loop_traced;
 use vliw_trace::{RecordingSink, Trace};
-use vliw_workloads::ArrayLayout;
+use vliw_workloads::{address_streams, ArrayLayout};
 
 use crate::batch::{build_requests, drain};
 use crate::context::{prepare_loop_traced, ExperimentContext, RunConfig, UnrollMode};
@@ -91,10 +91,7 @@ pub fn run_trace(ctx: &ExperimentContext, target_requests: usize) -> TraceRun {
             ctx.workloads.exec_input,
         );
         let mut mem = vliw_mem::build_cache(&machine);
-        let kernel_for_addr = prepared.kernel.clone();
-        let mut addresses = move |op: vliw_ir::OpId, iter: u64| {
-            vliw_workloads::address_for(&kernel_for_addr, &layout, op, iter)
-        };
+        let mut addresses = address_streams(&prepared.kernel, &layout);
         let _ = simulate_loop_traced(
             &prepared.kernel,
             &prepared.schedule,
@@ -159,6 +156,7 @@ mod tests {
                 .unwrap_or(0.0)
         };
         for span in [
+            "span_count/prepare.profile",
             "span_count/prepare.ddg",
             "span_count/prepare.pins",
             "span_count/prepare.latency",

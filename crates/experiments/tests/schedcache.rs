@@ -2,16 +2,20 @@
 //! (exactly one preparation per key under thread storms), persistence
 //! (byte-exact round-trips, rebuilds from disk, staleness rejection) and
 //! the structural key (same-name kernels with different bodies never
-//! collide — the failure mode of name-keyed memoization).
+//! collide — the failure mode of name-keyed memoization), and the
+//! profiling work of cold preparation and rebuilds.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use vliw_experiments::batch::build_requests;
 use vliw_experiments::{
     ExperimentContext, PreparedLoop, RunConfig, SchedCache, ScheduleStore, UnrollMode,
 };
 use vliw_ir::{kernel_fingerprint, LoopKernel};
-use vliw_sched::ClusterPolicy;
+use vliw_sched::{unroll_candidates, ClusterPolicy};
+use vliw_trace::{RecordingSink, Trace};
+use vliw_workloads::{profile_kernel, ArrayLayout};
 
 fn ctx() -> ExperimentContext {
     let mut ctx = ExperimentContext::quick();
@@ -166,6 +170,102 @@ fn store_round_trips_and_serves_rebuilds() {
         "no request fell back to scheduling"
     );
     assert_eq!(warm_cache.stale(), 0);
+}
+
+/// A rebuild re-derives the prepared kernel *with its profiles* equal to
+/// the cold path's. `kernel_fingerprint` ignores profiles, so neither the
+/// staleness gate nor a schedule digest would notice a rebuild that
+/// profiled differently; this compares the whole kernel.
+#[test]
+fn restored_kernels_equal_cold_kernels_profiles_included() {
+    let ctx = ctx();
+    let (requests, _) = build_requests(&ctx, 1);
+    for padding in [true, false] {
+        let cache = SchedCache::new();
+        let cfgs: Vec<RunConfig> = requests
+            .iter()
+            .map(|r| RunConfig { padding, ..r.cfg })
+            .collect();
+        let cold: Vec<Arc<PreparedLoop>> = requests
+            .iter()
+            .zip(&cfgs)
+            .map(|(r, cfg)| {
+                let machine = ctx.machine_for(cfg);
+                cache
+                    .prepare(&r.kernel, &machine, cfg, &ctx)
+                    .expect("schedules")
+            })
+            .collect();
+        let store = ScheduleStore::from_text(&cache.export_store().to_text()).expect("parses");
+        let restored_cache = SchedCache::with_store(store);
+        for ((r, cfg), cold) in requests.iter().zip(&cfgs).zip(&cold) {
+            let machine = ctx.machine_for(cfg);
+            let restored = restored_cache
+                .prepare(&r.kernel, &machine, cfg, &ctx)
+                .expect("rebuilds");
+            assert!(
+                restored.kernel == cold.kernel,
+                "{} {:?} padding {padding}: rebuilt kernel differs from the cold one",
+                r.kernel.name,
+                cfg.unroll
+            );
+        }
+        assert_eq!(restored_cache.store_hits(), requests.len() as u64);
+        assert_eq!(restored_cache.prepares(), 0, "every request was rebuilt");
+    }
+}
+
+/// `prepare.profile` spans recorded while `run` executes.
+fn profile_passes(run: impl FnOnce(Trace<'_>)) -> f64 {
+    let sink = RecordingSink::logical();
+    run(Trace::new(&sink));
+    sink.metrics()
+        .get("span_count/prepare.profile")
+        .unwrap_or(0.0)
+}
+
+/// Each distinct kernel is profiled once: a `NoUnroll` request profiles
+/// only the original (the OUF analysis's pass doubles as the factor-1
+/// variant's), a `Selective` request profiles each candidate factor once,
+/// and a store rebuild profiles only the stored factor.
+#[test]
+fn each_distinct_kernel_is_profiled_once() {
+    let ctx = ctx();
+    for unroll in [UnrollMode::NoUnroll, UnrollMode::Selective] {
+        let cfg = RunConfig {
+            unroll,
+            ..RunConfig::ipbc()
+        };
+        let machine = ctx.machine_for(&cfg);
+        for kernel in kernels(&ctx) {
+            let expected = match unroll {
+                UnrollMode::Selective => {
+                    let mut k = kernel.clone();
+                    let layout =
+                        ArrayLayout::new(&k, &machine, cfg.padding, ctx.workloads.profile_input);
+                    profile_kernel(&mut k, &machine, &layout, &ctx.profile);
+                    unroll_candidates(&k, &machine).len() as f64
+                }
+                _ => 1.0,
+            };
+            let cache = SchedCache::new();
+            let cold = profile_passes(|trace| {
+                cache
+                    .prepare_traced(&kernel, &machine, &cfg, &ctx, trace)
+                    .expect("schedules");
+            });
+            assert_eq!(cold, expected, "{} {unroll:?}: cold passes", kernel.name);
+
+            let restored_cache = SchedCache::with_store(cache.export_store());
+            let rebuilt = profile_passes(|trace| {
+                restored_cache
+                    .prepare_traced(&kernel, &machine, &cfg, &ctx, trace)
+                    .expect("rebuilds");
+            });
+            assert_eq!(restored_cache.store_hits(), 1);
+            assert_eq!(rebuilt, 1.0, "{} {unroll:?}: rebuild passes", kernel.name);
+        }
+    }
 }
 
 /// A store whose prepared-kernel fingerprints no longer match (the kernel

@@ -10,7 +10,7 @@ use vliw_sched::{
     ScheduleOptions,
 };
 use vliw_sim::{simulate_loop, SimOptions};
-use vliw_workloads::{address_for, ArrayLayout};
+use vliw_workloads::{address_streams, ArrayLayout};
 
 use crate::store::{class_index, kernel_fingerprint, LoopProfile, OpProfile};
 
@@ -355,7 +355,7 @@ pub fn measure_kernel_on_input(
     options: &MeasureOptions,
 ) -> Result<LoopProfile, ScheduleError> {
     let layout = ArrayLayout::new(kernel, machine, padding, input);
-    let mut addresses = |op: OpId, iter: u64| address_for(kernel, &layout, op, iter);
+    let mut addresses = address_streams(kernel, &layout);
     measure_kernel(kernel, machine, &mut addresses, options)
 }
 
@@ -415,7 +415,7 @@ pub fn measure_kernel_stream_on_input(
     options: &MeasureOptions,
 ) -> Result<StreamProfile, ScheduleError> {
     let layout = ArrayLayout::new(kernel, machine, padding, input);
-    let mut addresses = |op: OpId, iter: u64| address_for(kernel, &layout, op, iter);
+    let mut addresses = address_streams(kernel, &layout);
     measure_kernel_stream(kernel, machine, &mut addresses, options)
 }
 

@@ -86,7 +86,20 @@ impl ArrayLayout {
 }
 
 /// The address the memory operation `op` of `kernel` touches in
-/// `iteration`, under `layout`.
+/// `iteration`, under `layout`: `OpStream::new(kernel, layout, op).at(iteration)`.
+///
+/// Callers replaying many iterations of one operation should resolve its
+/// [`OpStream`] once instead.
+///
+/// # Panics
+///
+/// Panics if `op` is not a memory operation.
+pub fn address_for(kernel: &LoopKernel, layout: &ArrayLayout, op: OpId, iteration: u64) -> u64 {
+    OpStream::new(kernel, layout, op).at(iteration)
+}
+
+/// One memory operation's address stream under one layout, with
+/// everything that does not depend on the iteration resolved up front.
 ///
 /// Strided accesses walk `base + offset + stride × iteration`, wrapping so
 /// they stay inside the array while preserving their `mod N×I` residue
@@ -94,41 +107,107 @@ impl ArrayLayout {
 /// (`a[b[i]]`) produce an input-dependent pseudo-random element index —
 /// a different stream per input data set, as a real data-dependent index
 /// would be.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpStream(StreamKind);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StreamKind {
+    /// `start + stride × (iteration mod period)`, where `start` is the
+    /// array base plus the op's offset.
+    Strided {
+        start: i64,
+        stride: i64,
+        period: u64,
+    },
+    /// `base + (mix(seed ^ mix(iteration)) mod elems) × granularity`.
+    Indirect {
+        base: u64,
+        seed: u64,
+        elems: u64,
+        granularity: u64,
+    },
+}
+
+impl OpStream {
+    /// Resolves the stream of memory operation `op` of `kernel` under
+    /// `layout`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is not a memory operation.
+    pub fn new(kernel: &LoopKernel, layout: &ArrayLayout, op: OpId) -> Self {
+        let operation = kernel.op(op);
+        let mem = operation.mem.as_ref().expect("memory operation");
+        let array = &kernel.arrays[mem.array.index()];
+        let base = layout.base(mem.array.index());
+        OpStream(match mem.stride {
+            Some(stride) => {
+                let s = stride.unsigned_abs();
+                // wrap after `period` iterations: the largest stride-multiple
+                // window that both fits the array and is a multiple of 16
+                // strides keeps (addr mod N×I) periodic; a zero stride
+                // touches one address
+                let period = if s == 0 {
+                    1
+                } else {
+                    let span = array.size.saturating_sub(mem.offset.unsigned_abs()).max(s);
+                    let period = (span / s).max(1) / 16 * 16;
+                    if period == 0 {
+                        (span / s).max(1)
+                    } else {
+                        period
+                    }
+                };
+                StreamKind::Strided {
+                    start: base as i64 + mem.offset,
+                    stride,
+                    period,
+                }
+            }
+            // data-dependent index, different per input
+            None => StreamKind::Indirect {
+                base,
+                seed: hash_str(&operation.name) ^ layout.input_seed(),
+                elems: (array.size / mem.granularity.max(1) as u64).max(1),
+                granularity: mem.granularity as u64,
+            },
+        })
+    }
+
+    /// The address touched in `iteration`.
+    #[inline]
+    pub fn at(self, iteration: u64) -> u64 {
+        match self.0 {
+            StreamKind::Strided {
+                start,
+                stride,
+                period,
+            } => (start + stride * (iteration % period) as i64) as u64,
+            StreamKind::Indirect {
+                base,
+                seed,
+                elems,
+                granularity,
+            } => base + (mix(seed ^ mix(iteration)) % elems) * granularity,
+        }
+    }
+}
+
+/// The address streams of every memory operation of `kernel` under
+/// `layout`, as the `(op, iteration) → address` function the simulator
+/// and the measurement runs consume.
 ///
 /// # Panics
 ///
-/// Panics if `op` is not a memory operation.
-pub fn address_for(kernel: &LoopKernel, layout: &ArrayLayout, op: OpId, iteration: u64) -> u64 {
-    let operation = kernel.op(op);
-    let mem = operation.mem.as_ref().expect("memory operation");
-    let array = &kernel.arrays[mem.array.index()];
-    let base = layout.base(mem.array.index());
-    match mem.stride {
-        Some(stride) => {
-            let s = stride.unsigned_abs();
-            if s == 0 {
-                return base + mem.offset as u64;
-            }
-            // wrap after `period` iterations: the largest stride-multiple
-            // window that both fits the array and is a multiple of 16
-            // strides keeps (addr mod N×I) periodic
-            let span = array.size.saturating_sub(mem.offset.unsigned_abs()).max(s);
-            let period = (span / s).max(1) / 16 * 16;
-            let period = if period == 0 {
-                (span / s).max(1)
-            } else {
-                period
-            };
-            let i = iteration % period;
-            (base as i64 + mem.offset + stride * i as i64) as u64
-        }
-        None => {
-            // data-dependent index, different per input
-            let elems = (array.size / mem.granularity.max(1) as u64).max(1);
-            let h = mix(hash_str(&operation.name) ^ layout.input_seed() ^ mix(iteration));
-            base + (h % elems) * mem.granularity as u64
-        }
-    }
+/// The returned function panics when called for an operation that is not
+/// a memory operation.
+pub fn address_streams(kernel: &LoopKernel, layout: &ArrayLayout) -> impl Fn(OpId, u64) -> u64 {
+    let streams: Vec<Option<OpStream>> = kernel
+        .ops
+        .iter()
+        .map(|o| o.mem.is_some().then(|| OpStream::new(kernel, layout, o.id)))
+        .collect();
+    move |op, iteration| streams[op.index()].expect("memory operation").at(iteration)
 }
 
 #[cfg(test)]

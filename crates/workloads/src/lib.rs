@@ -25,7 +25,7 @@
 //! Global arrays keep the same base in both runs, as in the paper.
 //!
 //! The profiling pass ([`profile_kernel`]) replays the profile input's
-//! address streams
+//! address streams (one resolved [`OpStream`] per memory operation)
 //! through the timeless [`FunctionalCache`](vliw_mem::FunctionalCache) and
 //! attaches hit rates and preferred-cluster histograms to each memory
 //! operation — the exact inputs the scheduling techniques consume.
@@ -40,7 +40,7 @@ mod spec;
 mod suite;
 mod synth;
 
-pub use address::{address_for, ArrayLayout};
+pub use address::{address_for, address_streams, ArrayLayout, OpStream};
 pub use profiling::{profile_kernel, ProfileOptions};
 pub use spec::{BenchSpec, WorkloadConfig};
 pub use suite::{spec_by_name, suite, SUITE_NAMES};

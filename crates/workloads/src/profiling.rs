@@ -4,13 +4,14 @@ use vliw_ir::{LoopKernel, MemProfile, OpId};
 use vliw_machine::MachineConfig;
 use vliw_mem::FunctionalCache;
 
-use crate::address::{address_for, ArrayLayout};
+use crate::address::{ArrayLayout, OpStream};
 
 /// Profiling options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProfileOptions {
     /// Iterations replayed per loop (long loops converge quickly on the
-    /// small caches of Table 2).
+    /// small caches of Table 2). At least one iteration is always
+    /// replayed, so a cap of 0 acts as 1.
     pub iteration_cap: u64,
 }
 
@@ -36,26 +37,29 @@ pub fn profile_kernel(
     options: &ProfileOptions,
 ) {
     let n = machine.n_clusters();
-    let iters = (kernel.avg_trip.round() as u64).clamp(1, options.iteration_cap);
-    let mem_ops: Vec<OpId> = kernel.mem_ops().map(|o| o.id).collect();
+    let iters = (kernel.avg_trip.round() as u64).clamp(1, options.iteration_cap.max(1));
+    let streams: Vec<(OpId, OpStream)> = kernel
+        .mem_ops()
+        .map(|o| (o.id, OpStream::new(kernel, layout, o.id)))
+        .collect();
     let mut cache = FunctionalCache::new(machine);
-    let mut hist = vec![vec![0u64; n]; kernel.ops.len()];
-    let mut hits = vec![0u64; kernel.ops.len()];
+    // `hits[m]` and `hist[m * n..(m + 1) * n]` belong to `streams[m]`
+    let mut hist = vec![0u64; streams.len() * n];
+    let mut hits = vec![0u64; streams.len()];
 
     for j in 0..iters {
-        for &op in &mem_ops {
-            let addr = address_for(kernel, layout, op, j);
-            let (home, hit) = cache.access(addr);
-            hist[op.index()][home] += 1;
-            hits[op.index()] += hit as u64;
+        for (m, (_, stream)) in streams.iter().enumerate() {
+            let (home, hit) = cache.access(stream.at(j));
+            hist[m * n + home] += 1;
+            hits[m] += hit as u64;
         }
     }
 
-    for &op in &mem_ops {
+    for (m, &(op, _)) in streams.iter().enumerate() {
         let mem = kernel.ops[op.index()].mem.as_mut().expect("memory op");
         mem.profile = Some(MemProfile {
-            hit_rate: hits[op.index()] as f64 / iters as f64,
-            cluster_hist: hist[op.index()].clone(),
+            hit_rate: hits[m] as f64 / iters as f64,
+            cluster_hist: hist[m * n..(m + 1) * n].to_vec(),
             latency: None,
         });
     }
@@ -109,6 +113,25 @@ mod tests {
         for (i, op) in unrolled.ops.iter().filter(|o| o.is_load()).enumerate() {
             let p = op.mem.as_ref().unwrap().profile.as_ref().unwrap();
             assert_eq!(p.preferred_cluster(), Some(i));
+        }
+    }
+
+    #[test]
+    fn zero_iteration_cap_profiles_one_iteration() {
+        let mut b = KernelBuilder::new("k");
+        let a = b.array("a", 4096, ArrayKind::Heap);
+        let (_, v) = b.load("ld", a, 0, 4, 4);
+        b.store("st", a, 2048, 4, 4, v);
+        let mut k = b.finish(512.0);
+        let m = machine();
+        let layout = ArrayLayout::new(&k, &m, true, 1);
+        let mut one = k.clone();
+        profile_kernel(&mut k, &m, &layout, &ProfileOptions { iteration_cap: 0 });
+        profile_kernel(&mut one, &m, &layout, &ProfileOptions { iteration_cap: 1 });
+        assert_eq!(k, one, "a zero cap replays exactly one iteration");
+        for op in k.mem_ops() {
+            let p = op.mem.as_ref().unwrap().profile.as_ref().unwrap();
+            assert_eq!(p.cluster_hist.iter().sum::<u64>(), 1);
         }
     }
 

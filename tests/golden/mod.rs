@@ -12,8 +12,14 @@
 //! those paths produced, and the word-parallel and journaled MRT
 //! equivalence tests hold the current engine to it.
 //!
-//! The golden file is read-only: a deliberate behaviour change replaces
-//! it by hand from the fresh table a mismatch prints.
+//! Golden profile digests pin the profiling pass the same way: every
+//! case profiles one unroll variant of a suite loop on one input layout
+//! and records a digest of the first addresses of every memory operation
+//! beside the profile it produced. They are compared with the committed
+//! `tests/golden/profile_digests.txt`.
+//!
+//! The golden files are read-only: a deliberate behaviour change replaces
+//! them by hand from the fresh table a mismatch prints.
 
 #![allow(dead_code)] // each test binary uses a subset
 
@@ -24,11 +30,19 @@ use interleaved_vliw::ir::{
     unroll, ArrayKind, KernelBuilder, LoopKernel, Opcode, SrcOperand, StableHasher,
 };
 use interleaved_vliw::machine::MachineConfig;
-use interleaved_vliw::sched::{schedule_outcome, ClusterPolicy, ScheduleOptions};
+use interleaved_vliw::sched::{
+    optimal_unroll_factor, schedule_outcome, ClusterPolicy, ScheduleOptions,
+};
 use interleaved_vliw::workloads::rng::StdRng;
-use interleaved_vliw::workloads::{profile_kernel, spec_by_name, synthesize, ArrayLayout};
+use interleaved_vliw::workloads::{
+    address_for, profile_kernel, spec_by_name, synthesize, ArrayLayout,
+};
 
 const GOLDEN: &str = include_str!("schedule_digests.txt");
+const PROFILE_GOLDEN: &str = include_str!("profile_digests.txt");
+
+/// Addresses per memory operation fed into a profile digest.
+const PROFILE_ADDRESSES: u64 = 64;
 
 /// The paper's machine configurations (§5): 4-cluster word-interleaved,
 /// 2-cluster word-interleaved, multiVLIW, and both unified latencies.
@@ -114,6 +128,67 @@ pub fn suite_lines() -> Vec<String> {
     })
 }
 
+/// One profile table line: `label digest`, the digest covering, per
+/// memory operation in program order, its first [`PROFILE_ADDRESSES`]
+/// addresses, its hit-rate bits and its cluster histogram.
+fn profile_line(kernel: &LoopKernel, layout: &ArrayLayout, label: &str) -> String {
+    let mut h = StableHasher::new();
+    for op in kernel.mem_ops() {
+        for i in 0..PROFILE_ADDRESSES {
+            h.write_u64(address_for(kernel, layout, op.id, i));
+        }
+        let p = op
+            .mem
+            .as_ref()
+            .and_then(|m| m.profile.as_ref())
+            .expect("profiled memory operation");
+        h.write_f64(p.hit_rate);
+        h.write_u64(p.cluster_hist.len() as u64);
+        for &c in &p.cluster_hist {
+            h.write_u64(c);
+        }
+    }
+    format!("{label} {:016x}", h.finish())
+}
+
+/// The gsmdec and epicdec loops on the 4-cluster word-interleaved
+/// machine at factors {1, ×N, OUF}, with and without padding, profiled
+/// on the profile and on the execution input.
+pub fn profile_lines() -> Vec<String> {
+    let ctx = ExperimentContext::quick();
+    let machine = &ctx.machine;
+    let n = machine.n_clusters() as u32;
+    let inputs = [
+        ("profile", ctx.workloads.profile_input),
+        ("exec", ctx.workloads.exec_input),
+    ];
+    let mut out = Vec::new();
+    for bench in ["gsmdec", "epicdec"] {
+        let spec = spec_by_name(bench).expect("suite benchmark");
+        let model = synthesize(&spec, &ctx.workloads, machine);
+        for lw in &model.loops {
+            for (pname, padding) in [("pad", true), ("nopad", false)] {
+                let mut original = lw.kernel.clone();
+                let layout = ArrayLayout::new(&original, machine, padding, inputs[0].1);
+                profile_kernel(&mut original, machine, &layout, &ctx.profile);
+                let mut factors = vec![1, n, optimal_unroll_factor(&original, machine)];
+                factors.sort_unstable();
+                factors.dedup();
+                for factor in factors {
+                    for (iname, input) in inputs {
+                        let mut k = unroll(&lw.kernel, factor);
+                        let layout = ArrayLayout::new(&k, machine, padding, input);
+                        profile_kernel(&mut k, machine, &layout, &ctx.profile);
+                        let label = format!("profile/{}/x{factor}/{pname}/{iname}", lw.kernel.name);
+                        out.push(profile_line(&k, &layout, &label));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Builds a small random kernel: a few loads feeding a random int
 /// dataflow, optional carried recurrences, and a store. Dense dataflow
 /// forces inter-cluster copies, whose 2-cycle transfers wrap the II
@@ -192,6 +267,14 @@ pub fn dense_lines() -> Vec<String> {
 /// The golden lines whose label starts with `prefix`.
 pub fn golden_lines(prefix: &str) -> Vec<&'static str> {
     GOLDEN.lines().filter(|l| l.starts_with(prefix)).collect()
+}
+
+/// The golden profile lines (every line that is not a comment).
+pub fn golden_profile_lines() -> Vec<&'static str> {
+    PROFILE_GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .collect()
 }
 
 /// Compares `fresh` with `golden` line for line; on a mismatch prints
