@@ -24,9 +24,14 @@ pub fn sched_workload() -> (Vec<LoopKernel>, MachineConfig) {
 
 /// The scheduling-throughput workload for one context: every loop of the
 /// context's benchmarks, profiled, at factor 1 plus an OUF-unrolled
-/// variant when the OUF exceeds 1. Kernels any policy fails to schedule
-/// are dropped so every policy measures the same population (the
-/// `repro … sched` target shares this builder).
+/// variant when the OUF exceeds 1 (the `repro … sched` target shares
+/// this builder).
+///
+/// # Panics
+///
+/// Panics, naming the kernel and the policy, if any policy fails to
+/// schedule a workload kernel: every policy must measure the same
+/// population, and a failure is a scheduler bug.
 pub fn sched_workload_for(ctx: &ExperimentContext) -> (Vec<LoopKernel>, MachineConfig) {
     let mut profile = ctx.profile;
     profile.iteration_cap = 64;
@@ -42,15 +47,12 @@ pub fn sched_workload_for(ctx: &ExperimentContext) -> (Vec<LoopKernel>, MachineC
                 let mut k = vliw_ir::unroll(&lw.kernel, f);
                 let layout = ArrayLayout::new(&k, &ctx.machine, true, ctx.workloads.profile_input);
                 profile_kernel(&mut k, &ctx.machine, &layout, &profile);
-                // deep unrolling can defeat the no-backtracking scheduler
-                // under pinned-chain policies; keep only kernels every
-                // policy can schedule so each bench case runs the same set
-                let all_schedulable = ClusterPolicy::ALL
-                    .iter()
-                    .all(|&p| schedule_outcome(&k, &ctx.machine, ScheduleOptions::new(p)).is_ok());
-                if all_schedulable {
-                    kernels.push(k);
+                for p in ClusterPolicy::ALL {
+                    schedule_outcome(&k, &ctx.machine, ScheduleOptions::new(p)).unwrap_or_else(
+                        |e| panic!("workload kernel {} fails under {p:?}: {e}", k.name),
+                    );
                 }
+                kernels.push(k);
             }
         }
     }
@@ -64,8 +66,9 @@ pub fn sched_workload_for(ctx: &ExperimentContext) -> (Vec<LoopKernel>, MachineC
 ///
 /// # Panics
 ///
-/// Panics if a kernel fails to schedule — the workload is pre-filtered to
-/// kernels every policy can schedule, so a failure is a scheduler bug.
+/// Panics if a kernel fails to schedule — [`sched_workload_for`] checks
+/// that every policy schedules every workload kernel, so a failure is a
+/// scheduler bug.
 pub fn sched_pass(
     kernels: &[LoopKernel],
     machine: &MachineConfig,
@@ -79,7 +82,7 @@ pub fn sched_pass(
             std::hint::black_box(machine),
             ScheduleOptions::new(policy),
         )
-        .expect("workload kernels are pre-filtered to schedule");
+        .expect("every workload kernel schedules under every policy");
         std::hint::black_box(&outcome.schedule);
         stats.merge(&outcome.stats);
     }

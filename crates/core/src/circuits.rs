@@ -1,11 +1,18 @@
 //! Elementary-circuit enumeration (recurrences of the dependence graph).
 //!
 //! The latency-assignment step (§4.3.1, step 2) works "one recurrence at a
-//! time, starting with the recurrence that has the highest II value", so the
-//! scheduler needs the actual circuits, not just the RecMII bound. This
-//! module implements Johnson's algorithm extended to multigraphs (parallel
-//! dependence edges are distinguished), with caps on count and length as a
-//! safety valve for adversarial graphs.
+//! time, starting with the recurrence that has the highest II value", so it
+//! needs the actual circuits, not just the RecMII bound. This module implements Johnson's algorithm extended to
+//! multigraphs (parallel dependence edges are distinguished), with caps on
+//! count and length as a safety valve for adversarial graphs.
+//!
+//! Every circuit lies inside one strongly connected component of the
+//! DDG ([`Ddg::sccs`]), so the search starts only from members of
+//! recurrence components and follows only edges that stay inside the
+//! start node's component: an edge that leaves it can never lead back.
+//! The RecMII ([`crate::mii::rec_mii`]) and the SMS recurrence sets
+//! ([`crate::order::sms_order`]) come from the components directly, so
+//! [`EnumLimits`] bounds only the circuits latency assignment works on.
 
 use vliw_ir::{Ddg, OpId};
 
@@ -59,16 +66,22 @@ impl Default for EnumLimits {
 }
 
 /// Enumerates the elementary circuits of `ddg` (Johnson's algorithm over
-/// the edge multigraph). Circuits whose total distance is zero would make
-/// the loop unschedulable; they are reported by panicking in debug builds
-/// and skipped in release builds.
+/// the edge multigraph). Circuits come grouped by their smallest node, in
+/// ascending order. Circuits whose total distance is zero would make the
+/// loop unschedulable; they are reported by panicking in debug builds and
+/// skipped in release builds.
 pub fn elementary_circuits(ddg: &Ddg<'_>, limits: EnumLimits) -> Vec<Circuit> {
     let n = ddg.n_ops();
+    let sccs = ddg.sccs();
     let mut result = Vec::new();
-    // adjacency as (edge index, target) pairs
+    // intra-component adjacency as (edge index, target) pairs, in
+    // edge-list order
     let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for (i, e) in ddg.edges().iter().enumerate() {
-        adj[e.from.index()].push((i, e.to.index()));
+    for c in sccs.recurrences() {
+        for i in ddg.component_edges(c) {
+            let e = &ddg.edges()[i];
+            adj[e.from.index()].push((i, e.to.index()));
+        }
     }
 
     // Johnson's algorithm: for each start node s (ascending), find circuits
@@ -169,11 +182,14 @@ pub fn elementary_circuits(ddg: &Ddg<'_>, limits: EnumLimits) -> Vec<Circuit> {
         if result.len() >= limits.max_circuits {
             break;
         }
-        for b in blocked.iter_mut() {
-            *b = false;
+        let comp = sccs.component_of(OpId::new(s));
+        if !sccs.is_recurrence(comp) {
+            continue;
         }
-        for l in block_list.iter_mut() {
-            l.clear();
+        // the search from s never leaves s's component
+        for &v in sccs.members(comp) {
+            blocked[v.index()] = false;
+            block_list[v.index()].clear();
         }
         circuit(
             s,

@@ -139,7 +139,9 @@ impl SchedStats {
 pub struct ScheduleOptions {
     /// Cluster-assignment policy.
     pub policy: ClusterPolicy,
-    /// Circuit-enumeration safety caps.
+    /// Caps on the circuits latency assignment enumerates. The RecMII
+    /// and the SMS order come from the DDG's strongly connected
+    /// components and do not depend on them.
     pub enum_limits: EnumLimits,
     /// Which [`SchedulerBackend`] runs the kernel → [`Schedule`]
     /// transformation (default [`SchedBackend::SwingModulo`], the paper's
@@ -290,7 +292,10 @@ pub fn schedule_problem(
 
 /// The shared §4.3.1 front-end every backend runs before placement:
 /// circuits → policy pins → latency assignment → MII bounds → SMS node
-/// ordering. Extracted so [`SwingModulo`] and [`ExactBnB`] prepare
+/// ordering. The circuits feed latency assignment only; RecMII and the
+/// order's recurrence sets come from the DDG's strongly connected
+/// components ([`Ddg::sccs`]), which the circuit stage computes first
+/// and the later stages reuse. Extracted so [`SwingModulo`] and [`ExactBnB`] prepare
 /// bit-identically (same latencies, same MII, same order) and differ only
 /// in how they search the placement space. `Clone` so the exact backend
 /// runs its heuristic incumbent off the same preparation instead of

@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use vliw_ir::{Ddg, DepEdge, LoopKernel, OpId, Opcode};
+use vliw_ir::{Ddg, DepEdge, DepKind, LoopKernel, OpId, Opcode};
 use vliw_machine::{AccessClass, MachineConfig};
 
 use crate::circuits::Circuit;
@@ -128,9 +128,13 @@ pub fn stall_estimate(
     let Some(mem) = &kernel.op(op).mem else {
         return 0.0;
     };
-    class_mix(mem, machine, cluster)
-        .into_iter()
-        .map(|(p, l)| p * (l.saturating_sub(assumed)) as f64)
+    expected_stall(&class_mix(mem, machine, cluster), assumed)
+}
+
+/// `Σ p_c · max(0, latency_c − assumed)` over a class mix.
+fn expected_stall(mix: &[(f64, u32)], assumed: u32) -> f64 {
+    mix.iter()
+        .map(|&(p, l)| p * (l.saturating_sub(assumed)) as f64)
         .sum()
 }
 
@@ -304,9 +308,45 @@ pub fn assign_latencies_with_pins(
         steps: Vec::new(),
     };
 
-    let circuit_ii = |asg: &LatencyAssignment, c: &Circuit| -> u32 {
-        c.ii_bound(|e| asg.edge_latency(&ddg.edges()[e], kernel))
+    // Each circuit's latency sum under `asg`, kept current as latencies
+    // change. A load's latency enters a circuit's sum only through the
+    // load's outgoing edge on it, and only when that edge is register
+    // flow: those circuits are the load's `flows`.
+    let edges = ddg.edges();
+    let mut sums: Vec<u64> = circuits
+        .iter()
+        .map(|c| {
+            c.edges
+                .iter()
+                .map(|&e| asg.edge_latency(&edges[e], kernel) as u64)
+                .sum()
+        })
+        .collect();
+    let mut flows: Vec<Vec<usize>> = vec![Vec::new(); kernel.ops.len()];
+    for (ci, c) in circuits.iter().enumerate() {
+        for (&node, &e) in c.nodes.iter().zip(&c.edges) {
+            if kernel.op(node).is_load() && edges[e].kind == DepKind::RegFlow {
+                flows[node.index()].push(ci);
+            }
+        }
+    }
+    let circuit_ii = |sum: u64, c: &Circuit| -> u32 {
+        debug_assert!(
+            c.total_distance > 0,
+            "circuit with zero total distance is an illegal DDG"
+        );
+        sum.div_ceil(c.total_distance as u64) as u32
     };
+    let set = |asg: &mut LatencyAssignment, sums: &mut [u64], m: OpId, to: u32| {
+        let from = asg.latency_of(m);
+        for &ci in &flows[m.index()] {
+            sums[ci] = sums[ci] - from as u64 + to as u64;
+        }
+        asg.set(m, to);
+    };
+    // each load's class mix, built on first use (an op without memory
+    // info has an empty mix and never stalls)
+    let mut mixes: Vec<Option<Vec<(f64, u32)>>> = vec![None; kernel.ops.len()];
 
     // circuits that could not be reduced below the target (e.g. recurrences
     // through stores only) are skipped so the outer loop terminates
@@ -317,37 +357,44 @@ pub fn assign_latencies_with_pins(
             .iter()
             .enumerate()
             .filter(|&(i, _)| !stuck[i])
-            .map(|(i, c)| (circuit_ii(&asg, c), i))
+            .map(|(i, c)| (circuit_ii(sums[i], c), i))
             .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
             .filter(|&(ii, _)| ii > target);
         let Some((_, ci)) = worst else { break };
         let circuit = &circuits[ci];
+        // the circuit's loads (each node appears once on an elementary
+        // circuit), and whether the load's latency enters its sum
+        let loads: Vec<(OpId, bool)> = circuit
+            .nodes
+            .iter()
+            .zip(&circuit.edges)
+            .filter(|&(&o, _)| kernel.op(o).is_load())
+            .map(|(&o, &e)| (o, edges[e].kind == DepKind::RegFlow))
+            .collect();
 
         let mut last_changed: Option<OpId> = None;
-        while circuit_ii(&asg, circuit) > target {
-            let cur_ii = circuit_ii(&asg, circuit);
+        while circuit_ii(sums[ci], circuit) > target {
+            let cur_ii = circuit_ii(sums[ci], circuit);
             let mut candidates = Vec::new();
-            let mut loads: Vec<OpId> = circuit
-                .nodes
-                .iter()
-                .copied()
-                .filter(|&o| kernel.op(o).is_load())
-                .collect();
-            loads.dedup();
-            for &m in &loads {
+            for &(m, flows_here) in &loads {
                 let cur = asg.latency_of(m);
+                let pin = pins.get(m.index()).copied().flatten();
+                let mix = mixes[m.index()].get_or_insert_with(|| match &kernel.op(m).mem {
+                    Some(mem) => class_mix(mem, machine, pin),
+                    None => Vec::new(),
+                });
                 for &class in &classes {
                     let to = lats.of(class);
                     if to >= cur {
                         continue;
                     }
-                    let mut trial = asg.clone();
-                    trial.set(m, to);
-                    let new_ii = circuit_ii(&trial, circuit);
+                    let new_ii = if flows_here {
+                        circuit_ii(sums[ci] - cur as u64 + to as u64, circuit)
+                    } else {
+                        cur_ii
+                    };
                     let delta_ii = cur_ii - new_ii;
-                    let pin = pins.get(m.index()).copied().flatten();
-                    let delta_stall = stall_estimate(kernel, machine, m, pin, to)
-                        - stall_estimate(kernel, machine, m, pin, cur);
+                    let delta_stall = expected_stall(mix, to) - expected_stall(mix, cur);
                     let benefit = if delta_stall <= 1e-12 {
                         f64::INFINITY
                     } else {
@@ -389,7 +436,7 @@ pub fn assign_latencies_with_pins(
                     break;
                 }
             }
-            asg.set(c.op, lats.of(c.to_class));
+            set(&mut asg, &mut sums, c.op, lats.of(c.to_class));
             last_changed = Some(c.op);
             asg.steps.push(BenefitStep {
                 circuit: ci,
@@ -398,35 +445,23 @@ pub fn assign_latencies_with_pins(
             });
         }
 
-        if circuit_ii(&asg, circuit) > target {
+        if circuit_ii(sums[ci], circuit) > target {
             stuck[ci] = true;
         }
 
         // De-slack: raise the last-changed load so this recurrence sits at
-        // exactly the target — bounded by every circuit the load belongs to.
+        // exactly the target — bounded by every circuit whose sum the
+        // load's latency enters.
         if let Some(m) = last_changed {
+            let cur = asg.latency_of(m);
             let mut bound = lats.of(max_class);
-            for c in circuits.iter().filter(|c| c.contains(m)) {
-                // m's latency contributes to the circuit through its
-                // outgoing register-flow edge (if any on this circuit)
-                let m_pos = c.nodes.iter().position(|&n| n == m).expect("member");
-                let out_edge = &ddg.edges()[c.edges[m_pos]];
-                let contributes = out_edge.kind == vliw_ir::DepKind::RegFlow;
-                if !contributes {
-                    continue;
-                }
-                let sum_others: i64 = c
-                    .edges
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, _)| k != m_pos)
-                    .map(|(_, &e)| asg.edge_latency(&ddg.edges()[e], kernel) as i64)
-                    .sum();
-                let max_here = (target as i64) * (c.total_distance as i64) - sum_others;
+            for &cj in &flows[m.index()] {
+                let sum_others = sums[cj] as i64 - cur as i64;
+                let max_here = (target as i64) * (circuits[cj].total_distance as i64) - sum_others;
                 bound = bound.min(max_here.max(0) as u32);
             }
-            if bound > asg.latency_of(m) {
-                asg.set(m, bound);
+            if bound > cur {
+                set(&mut asg, &mut sums, m, bound);
             }
         }
     }

@@ -86,7 +86,7 @@ pub use latency::{
     assign_latencies_with_pins, assign_profiled_latencies, delay_tracking_latency, BenefitStep,
     CandidateEval, LatencyAssignment,
 };
-pub use mii::{edge_latency, rec_mii, res_mii};
+pub use mii::{component_rec_mii, edge_latency, rec_mii, res_mii};
 pub use mrt::{Mrt, MrtSavepoint};
 pub use order::sms_order;
 pub use pressure::{max_live, max_live_per_cluster};

@@ -45,28 +45,54 @@ pub fn res_mii(kernel: &LoopKernel, machine: &MachineConfig) -> u32 {
 
 /// Exact recurrence-constrained MII under the given per-op latency
 /// function: the smallest `II` such that no dependence cycle has
-/// `Σ latency > II × Σ distance`. Computed by binary search over II with
-/// Bellman-Ford positive-cycle detection, so it is exact even when circuit
-/// enumeration is capped.
+/// `Σ latency > II × Σ distance`, i.e. the largest
+/// [`component_rec_mii`] over the recurrence components of
+/// [`Ddg::sccs`] (0 for a graph without cycles). Every cycle lies inside
+/// one component, so the value is exact and needs no circuit list.
 pub fn rec_mii(ddg: &Ddg<'_>, mut lat_of: impl FnMut(OpId) -> u32) -> u32 {
+    ddg.sccs()
+        .recurrences()
+        .map(|c| component_rec_mii(ddg, c, &mut lat_of))
+        .max()
+        .unwrap_or(0)
+}
+
+/// The recurrence MII of one strongly connected component `c` of
+/// [`Ddg::sccs`]: the largest `⌈Σ latency / Σ distance⌉` over the
+/// circuits inside it (0 for a component without an internal edge).
+///
+/// A component with as many internal edges as members is one simple
+/// cycle, and the closed form is exact. Otherwise a binary search over
+/// II runs Bellman-Ford positive-cycle detection on the component's
+/// edges only. A zero-distance cycle of positive latency (an illegal
+/// graph) makes every II infeasible; the result then exceeds the
+/// component's total latency.
+pub fn component_rec_mii(ddg: &Ddg<'_>, c: usize, mut lat_of: impl FnMut(OpId) -> u32) -> u32 {
+    let sccs = ddg.sccs();
+    let all = ddg.edges();
     let edges: Vec<(usize, usize, i64, i64)> = ddg
-        .edges()
-        .iter()
-        .map(|e| {
+        .component_edges(c)
+        .map(|i| {
+            let e = &all[i];
             (
-                e.from.index(),
-                e.to.index(),
+                sccs.local_index(e.from),
+                sccs.local_index(e.to),
                 edge_latency(e, &mut lat_of) as i64,
                 e.distance as i64,
             )
         })
         .collect();
+    let n = sccs.members(c).len();
     let total_lat: i64 = edges.iter().map(|e| e.2).sum();
+    let total_dist: i64 = edges.iter().map(|e| e.3).sum();
+    if sccs.internal_edges(c) == n && total_dist > 0 {
+        return (total_lat as u64).div_ceil(total_dist as u64) as u32;
+    }
     let (mut lo, mut hi) = (0i64, total_lat.max(0) + 1);
     // invariant: hi is feasible, lo-1 ... search smallest feasible
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if has_positive_cycle(ddg.n_ops(), &edges, mid) {
+        if has_positive_cycle(n, &edges, mid) {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -170,6 +196,53 @@ mod tests {
         let k = b.finish(1.0);
         let g = Ddg::build(&k);
         assert_eq!(rec_mii(&g, |_| 4), 4);
+    }
+
+    #[test]
+    fn component_rec_mii_per_recurrence() {
+        // component {a, b}: two circuits, 4/1 and 3/2 -> 4; a self-loop 5/2 -> 3
+        let mut b = KernelBuilder::new("t");
+        let (na, ra) = b.int_op("a", Opcode::Add, &[]);
+        let (nb, _) = b.int_op("b", Opcode::Sub, &[ra.into()]);
+        b.raw_edge(nb, na, vliw_ir::DepKind::RegFlow, 1);
+        b.raw_edge(nb, na, vliw_ir::DepKind::RegOut, 2);
+        let _ = b.int_op_carried("acc", Opcode::Add, &[], 2);
+        let k = b.finish(1.0);
+        let g = Ddg::build(&k);
+        let lat = |op: OpId| [2, 2, 5][op.index()];
+        let sccs = g.sccs();
+        assert_eq!(component_rec_mii(&g, sccs.component_of(na), lat), 4);
+        assert_eq!(
+            component_rec_mii(&g, sccs.component_of(OpId::new(2)), lat),
+            3
+        );
+        assert_eq!(rec_mii(&g, lat), 4);
+    }
+
+    #[test]
+    fn closed_form_agrees_with_the_search_on_simple_cycles() {
+        // a 3-cycle (one simple cycle) at several latencies and distances
+        for dist in 1..4 {
+            for l in 0u32..7 {
+                let mut b = KernelBuilder::new("t");
+                let (n0, r0) = b.int_op("a", Opcode::Add, &[]);
+                let (_, r1) = b.int_op("b", Opcode::Add, &[r0.into()]);
+                let (n2, _) = b.int_op("c", Opcode::Add, &[r1.into()]);
+                b.raw_edge(n2, n0, vliw_ir::DepKind::RegFlow, dist);
+                let k = b.finish(1.0);
+                let g = Ddg::build(&k);
+                let sccs = g.sccs();
+                assert_eq!(sccs.internal_edges(0), sccs.members(0).len());
+                let ratio = (3 * l).div_ceil(dist);
+                assert_eq!(rec_mii(&g, |_| l), ratio, "lat {l} dist {dist}");
+                // a parallel zero-latency edge leaves the bound unchanged
+                // but forces the Bellman-Ford path
+                let mut k2 = k.clone();
+                k2.edges
+                    .push(DepEdge::new(n2, n0, vliw_ir::DepKind::RegAnti, dist));
+                assert_eq!(rec_mii(&Ddg::build(&k2), |_| l), ratio);
+            }
+        }
     }
 
     #[test]

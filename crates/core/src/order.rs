@@ -9,8 +9,13 @@
 //! Implementation outline (faithful to the published algorithm, in the
 //! style of production SMS implementations):
 //!
-//! 1. Group circuits that share nodes into *recurrence sets*; sort sets by
-//!    descending recurrence II, then size.
+//! 1. The *recurrence sets* are the recurrence components of the DDG
+//!    ([`Ddg::sccs`]): grouping circuits that share a node yields exactly
+//!    the strongly connected components that contain a circuit. Each set's
+//!    priority is its exact recurrence II ([`mii::component_rec_mii`]),
+//!    which equals the largest circuit II inside it. Sets are sorted by
+//!    descending priority, then size, then smallest node. No circuit list
+//!    is needed, so a capped enumeration cannot hide a recurrence.
 //! 2. Before ordering each set, pull in the nodes lying on intra-iteration
 //!    paths between already-ordered nodes and the set.
 //! 3. Remaining nodes form per-weakly-connected-component sets at the end.
@@ -18,15 +23,18 @@
 //!    highest *height* first) and bottom-up sweeps (pick highest *depth*
 //!    first), seeding the direction from how the set connects to the nodes
 //!    already ordered.
-
-use std::collections::HashSet;
+//!
+//! All set bookkeeping is dense: per-node flags and set labels indexed by
+//! op id. Every pick breaks ties by op id, so the order does not depend on
+//! the order in which candidates are collected.
 
 use vliw_ir::{Ddg, OpId};
 
 use crate::circuits::Circuit;
 use crate::mii;
 
-/// Depth/height over the intra-iteration (distance-0) subgraph.
+/// Depth/height over the intra-iteration (distance-0) subgraph, and its
+/// adjacency without duplicate pairs.
 #[derive(Debug, Clone)]
 struct DagInfo {
     depth: Vec<i64>,
@@ -37,39 +45,39 @@ struct DagInfo {
 
 fn dag_info(ddg: &Ddg<'_>, lat_of: &dyn Fn(OpId) -> u32) -> DagInfo {
     let n = ddg.n_ops();
+    // Distance-0 edges always point forward in construction order (the
+    // builder creates defs before uses), so this subgraph is acyclic and
+    // id order is a topological order; backward ones from hand-built
+    // graphs are ignored. Parallel edges between one pair count once, at
+    // the latency of the first in edge-list order: the CSR walks keep
+    // edge-list order, and `seen[u] == v` marks pairs already taken.
     let mut preds0 = vec![Vec::new(); n];
     let mut succs0 = vec![Vec::new(); n];
-    // First distance-0 edge (in edge-list order) per (from, to) pair: the
-    // depth/height recurrences below charge every duplicate adjacency entry
-    // the latency of that *first* edge, which is what the old linear
-    // `find` over the edge list computed — but in O(E) total instead of
-    // O(E) per adjacency entry.
-    let mut first_d0: std::collections::HashMap<(usize, usize), usize> = Default::default();
-    for (i, e) in ddg.edges().iter().enumerate() {
-        // distance-0 edges always point forward in construction order (the
-        // builder creates defs before uses), so this subgraph is acyclic;
-        // guard against hand-built graphs violating it.
-        if e.distance == 0 && e.from.index() < e.to.index() {
-            preds0[e.to.index()].push(e.from.index());
-            succs0[e.from.index()].push(e.to.index());
-            first_d0.entry((e.from.index(), e.to.index())).or_insert(i);
-        }
-    }
-    let lat_d0 = |from: usize, to: usize| -> i64 {
-        let i = first_d0[&(from, to)];
-        mii::edge_latency(&ddg.edges()[i], lat_of) as i64
-    };
+    let mut seen = vec![usize::MAX; n];
     let mut depth = vec![0i64; n];
     for v in 0..n {
-        for &p in &preds0[v] {
-            let l = lat_d0(p, v);
+        for e in ddg.pred_edges(OpId::new(v)) {
+            let p = e.from.index();
+            if e.distance != 0 || p >= v || seen[p] == v {
+                continue;
+            }
+            seen[p] = v;
+            preds0[v].push(p);
+            let l = mii::edge_latency(e, lat_of) as i64;
             depth[v] = depth[v].max(depth[p] + l.max(1));
         }
     }
+    seen.fill(usize::MAX);
     let mut height = vec![0i64; n];
     for v in (0..n).rev() {
-        for &s in &succs0[v] {
-            let l = lat_d0(v, s);
+        for e in ddg.succ_edges(OpId::new(v)) {
+            let s = e.to.index();
+            if e.distance != 0 || s <= v || seen[s] == v {
+                continue;
+            }
+            seen[s] = v;
+            succs0[v].push(s);
+            let l = mii::edge_latency(e, lat_of) as i64;
             height[v] = height[v].max(height[s] + l.max(1));
         }
     }
@@ -81,161 +89,141 @@ fn dag_info(ddg: &Ddg<'_>, lat_of: &dyn Fn(OpId) -> u32) -> DagInfo {
     }
 }
 
-/// Transitive closure helper over the distance-0 subgraph.
-fn reachable(from: &HashSet<usize>, succs: &[Vec<usize>]) -> HashSet<usize> {
-    let mut seen = from.clone();
-    let mut stack: Vec<usize> = from.iter().copied().collect();
+/// Marks every node reachable from `stack` over `adj` (the seeds
+/// included), skipping nodes already marked.
+fn mark_reachable(stack: &mut Vec<usize>, adj: &[Vec<usize>], marked: &mut [bool]) {
     while let Some(v) = stack.pop() {
-        for &w in &succs[v] {
-            if seen.insert(w) {
+        for &w in &adj[v] {
+            if !marked[w] {
+                marked[w] = true;
                 stack.push(w);
             }
         }
     }
-    seen
+}
+
+/// Union-find root with path halving.
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
 }
 
 /// Computes the SMS node order for a kernel.
 ///
-/// `circuits` are the kernel's recurrences and `lat_of` the (assigned)
-/// per-op latencies; both feed the recurrence priorities.
-pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u32) -> Vec<OpId> {
+/// `lat_of` gives the (assigned) per-op latencies, which set the
+/// recurrence priorities and the depth/height keys. The recurrences come
+/// from the DDG's strongly connected components, so `_circuits` is
+/// ignored; the parameter stays until the benchmark's hand replay of the
+/// front end, which passes it, is rewritten.
+pub fn sms_order(ddg: &Ddg<'_>, _circuits: &[Circuit], lat_of: impl Fn(OpId) -> u32) -> Vec<OpId> {
+    const NONE: u32 = u32::MAX;
     let n = ddg.n_ops();
     if n == 0 {
         return Vec::new();
     }
-    let lat_ref: &dyn Fn(OpId) -> u32 = &lat_of;
-    let info = dag_info(ddg, lat_ref);
+    let info = dag_info(ddg, &lat_of);
 
     // --- step 1: recurrence sets ------------------------------------------------
-    // union circuits sharing nodes
-    let mut parent: Vec<usize> = (0..circuits.len()).collect();
-    fn find(p: &mut Vec<usize>, x: usize) -> usize {
-        if p[x] != x {
-            let r = find(p, p[x]);
-            p[x] = r;
-        }
-        p[x]
-    }
-    // Union via per-node incidence (first circuit seen per node), linear in
-    // Σ|circuit| instead of quadratic pairwise overlap tests. The resulting
-    // partition — the transitive closure of "shares a node" — is identical,
-    // and everything downstream is sorted by (priority, size, min node), so
-    // the different union-find tree shapes cannot change the order.
-    let mut node_first: Vec<usize> = vec![usize::MAX; n];
-    for (i, c) in circuits.iter().enumerate() {
-        for o in &c.nodes {
-            let v = o.index();
-            if node_first[v] == usize::MAX {
-                node_first[v] = i;
-            } else {
-                let (a, b) = (find(&mut parent, node_first[v]), find(&mut parent, i));
-                if a != b {
-                    parent[a] = b;
-                }
-            }
-        }
-    }
-    let mut set_nodes: std::collections::HashMap<usize, HashSet<usize>> = Default::default();
-    let mut set_prio: std::collections::HashMap<usize, u32> = Default::default();
-    for (i, c) in circuits.iter().enumerate() {
-        let root = find(&mut parent, i);
-        let entry = set_nodes.entry(root).or_default();
-        entry.extend(c.nodes.iter().map(|o| o.index()));
-        let ii = c.ii_bound(|e| mii::edge_latency(&ddg.edges()[e], &lat_of));
-        let p = set_prio.entry(root).or_insert(0);
-        *p = (*p).max(ii);
-    }
-    let mut rec_sets: Vec<(u32, HashSet<usize>)> = set_nodes
-        .into_iter()
-        .map(|(root, nodes)| (set_prio[&root], nodes))
+    let sccs = ddg.sccs();
+    let mut rec_sets: Vec<(u32, &[OpId])> = sccs
+        .recurrences()
+        .map(|c| (mii::component_rec_mii(ddg, c, &lat_of), sccs.members(c)))
         .collect();
     rec_sets.sort_by(|a, b| {
         b.0.cmp(&a.0)
             .then(b.1.len().cmp(&a.1.len()))
-            .then(a.1.iter().min().cmp(&b.1.iter().min()))
+            .then(a.1[0].cmp(&b.1[0]))
     });
 
     // --- steps 2-3: build the processing sets ------------------------------------
-    let mut taken: HashSet<usize> = HashSet::new();
-    let mut process_sets: Vec<HashSet<usize>> = Vec::new();
-    for (_, set) in &rec_sets {
-        let mut s: HashSet<usize> = set.difference(&taken).copied().collect();
+    // `set_of[v]` is the processing set v joined (NONE while untaken)
+    let mut set_of = vec![NONE; n];
+    let mut process_sets: Vec<Vec<usize>> = Vec::new();
+    // nodes reachable from / reaching a taken node over distance-0 edges
+    let mut below_taken = vec![false; n];
+    let mut above_taken = vec![false; n];
+    let mut visited = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    for (_, members) in &rec_sets {
+        let id = process_sets.len() as u32;
+        let mut s: Vec<usize> = members
+            .iter()
+            .map(|o| o.index())
+            .filter(|&v| set_of[v] == NONE)
+            .collect();
         if s.is_empty() {
             continue;
         }
-        if !taken.is_empty() {
-            // nodes on intra-iteration paths between ordered nodes and s
-            let down_from_taken = reachable(&taken, &info.succs0);
-            let up_to_s = {
-                let mut anc = s.clone();
-                let mut stack: Vec<usize> = s.iter().copied().collect();
+        for &v in &s {
+            set_of[v] = id;
+        }
+        if !process_sets.is_empty() {
+            // nodes on intra-iteration paths from ordered nodes into s (the
+            // ancestors of s below a taken node), then from s down to
+            // ordered nodes (the descendants of the grown s above one)
+            for (adj, on_path) in [(&info.preds0, &below_taken), (&info.succs0, &above_taken)] {
+                visited.fill(false);
+                for &v in &s {
+                    visited[v] = true;
+                }
+                stack.extend_from_slice(&s);
                 while let Some(v) = stack.pop() {
-                    for &p in &info.preds0[v] {
-                        if anc.insert(p) {
-                            stack.push(p);
+                    for &w in &adj[v] {
+                        if !visited[w] {
+                            visited[w] = true;
+                            stack.push(w);
+                            if on_path[w] && set_of[w] == NONE {
+                                set_of[w] = id;
+                                s.push(w);
+                            }
                         }
                     }
-                }
-                anc
-            };
-            for v in down_from_taken.intersection(&up_to_s) {
-                if !taken.contains(v) {
-                    s.insert(*v);
-                }
-            }
-            // and the symmetric direction (paths from s down to taken)
-            let down_from_s = reachable(&s, &info.succs0);
-            let up_to_taken = {
-                let mut anc = taken.clone();
-                let mut stack: Vec<usize> = taken.iter().copied().collect();
-                while let Some(v) = stack.pop() {
-                    for &p in &info.preds0[v] {
-                        if anc.insert(p) {
-                            stack.push(p);
-                        }
-                    }
-                }
-                anc
-            };
-            for v in down_from_s.intersection(&up_to_taken) {
-                if !taken.contains(v) {
-                    s.insert(*v);
                 }
             }
         }
-        taken.extend(s.iter().copied());
+        for (adj, marked) in [
+            (&info.succs0, &mut below_taken),
+            (&info.preds0, &mut above_taken),
+        ] {
+            for &v in &s {
+                if !marked[v] {
+                    marked[v] = true;
+                    stack.push(v);
+                }
+            }
+            mark_reachable(&mut stack, adj, marked);
+        }
         process_sets.push(s);
     }
-    // remaining nodes: weakly-connected components over all edges
-    let mut remaining: Vec<usize> = (0..n).filter(|v| !taken.contains(v)).collect();
-    if !remaining.is_empty() {
-        let mut comp_parent: Vec<usize> = (0..n).collect();
+    // remaining nodes: weakly-connected components over all edges, in
+    // order of their smallest node
+    if set_of.contains(&NONE) {
+        let mut parent: Vec<usize> = (0..n).collect();
         for e in ddg.edges() {
             let (a, b) = (
-                find2(&mut comp_parent, e.from.index()),
-                find2(&mut comp_parent, e.to.index()),
+                find(&mut parent, e.from.index()),
+                find(&mut parent, e.to.index()),
             );
             if a != b {
-                comp_parent[a] = b;
+                parent[a] = b;
             }
         }
-        fn find2(p: &mut Vec<usize>, x: usize) -> usize {
-            if p[x] != x {
-                let r = find2(p, p[x]);
-                p[x] = r;
+        let mut set_of_root = vec![NONE; n];
+        for v in 0..n {
+            if set_of[v] != NONE {
+                continue;
             }
-            p[x]
+            let root = find(&mut parent, v);
+            if set_of_root[root] == NONE {
+                set_of_root[root] = process_sets.len() as u32;
+                process_sets.push(Vec::new());
+            }
+            set_of[v] = set_of_root[root];
+            process_sets[set_of[v] as usize].push(v);
         }
-        remaining.sort_unstable();
-        let mut comps: std::collections::HashMap<usize, HashSet<usize>> = Default::default();
-        for v in remaining {
-            let r = find2(&mut comp_parent, v);
-            comps.entry(r).or_default().insert(v);
-        }
-        let mut comps: Vec<HashSet<usize>> = comps.into_values().collect();
-        comps.sort_by_key(|c| *c.iter().min().unwrap());
-        process_sets.extend(comps);
     }
 
     // --- step 4: the swing ordering ----------------------------------------------
@@ -244,54 +232,61 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
         TopDown,
         BottomUp,
     }
-    let mut order: Vec<usize> = Vec::new();
-    let mut ordered: HashSet<usize> = HashSet::new();
-    for s in &process_sets {
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut ordered = vec![false; n];
+    let mut in_r = vec![false; n];
+    for (si, s) in process_sets.iter().enumerate() {
+        let in_s = |v: usize| set_of[v] == si as u32;
+        // unordered members of s with an ordered node among `adj[v]`
+        let touching = |adj: &[Vec<usize>], ordered: &[bool]| -> Vec<usize> {
+            s.iter()
+                .copied()
+                .filter(|&v| !ordered[v] && adj[v].iter().any(|&w| ordered[w]))
+                .collect()
+        };
         // seed: how does this set connect to what is already ordered?
-        let succ_of_ordered: HashSet<usize> = order
-            .iter()
-            .flat_map(|&v| info.succs0[v].iter().copied())
-            .filter(|v| s.contains(v) && !ordered.contains(v))
-            .collect();
-        let pred_of_ordered: HashSet<usize> = order
-            .iter()
-            .flat_map(|&v| info.preds0[v].iter().copied())
-            .filter(|v| s.contains(v) && !ordered.contains(v))
-            .collect();
         // Seed priority follows SMS: prefer sweeping bottom-up from the
         // set's nodes that feed already-ordered nodes. This keeps each
         // recurrence circuit contiguous so that its closing node's window
         // is bounded by the circuit (II >= RecMII suffices), instead of by
         // unrelated far-apart anchors.
-        let (mut r, mut dir) = if !pred_of_ordered.is_empty() {
-            (pred_of_ordered, Dir::BottomUp)
+        let pred_of_ordered = touching(&info.succs0, &ordered);
+        let succ_of_ordered = touching(&info.preds0, &ordered);
+        let (mut r, mut dir);
+        if !pred_of_ordered.is_empty() {
+            r = pred_of_ordered;
+            dir = Dir::BottomUp;
         } else if !succ_of_ordered.is_empty() {
-            (succ_of_ordered, Dir::TopDown)
+            r = succ_of_ordered;
+            dir = Dir::TopDown;
         } else {
             // start bottom-up from the node with the greatest ASAP (the tail
             // of the set's longest chain), as SMS does; deterministic
             // tie-break by height then id
-            let seed = s
-                .iter()
-                .copied()
-                .filter(|v| !ordered.contains(v))
-                .max_by(|&a, &b| {
-                    info.depth[a]
-                        .cmp(&info.depth[b])
-                        .then(info.height[b].cmp(&info.height[a]))
-                        .then(b.cmp(&a))
-                });
+            let seed = s.iter().copied().filter(|&v| !ordered[v]).max_by(|&a, &b| {
+                info.depth[a]
+                    .cmp(&info.depth[b])
+                    .then(info.height[b].cmp(&info.height[a]))
+                    .then(b.cmp(&a))
+            });
             match seed {
-                Some(v) => ([v].into_iter().collect(), Dir::BottomUp),
+                Some(v) => r = vec![v],
                 None => continue,
             }
-        };
+            dir = Dir::BottomUp;
+        }
+        for &v in &r {
+            in_r[v] = true;
+        }
+        let mut left = s.iter().filter(|&&v| !ordered[v]).count();
         loop {
             while !r.is_empty() {
                 // pick by height (top-down) or depth (bottom-up)
-                let &v = r
+                let (i, v) = r
                     .iter()
-                    .max_by(|&&a, &&b| {
+                    .copied()
+                    .enumerate()
+                    .max_by(|&(_, a), &(_, b)| {
                         let (ka, kb) = match dir {
                             Dir::TopDown => (info.height[a], info.height[b]),
                             Dir::BottomUp => (info.depth[a], info.depth[b]),
@@ -304,23 +299,26 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
                             .then(b.cmp(&a))
                     })
                     .expect("nonempty");
-                r.remove(&v);
-                if ordered.contains(&v) {
+                r.swap_remove(i);
+                in_r[v] = false;
+                if ordered[v] {
                     continue;
                 }
                 order.push(v);
-                ordered.insert(v);
+                ordered[v] = true;
+                left -= 1;
                 let next = match dir {
                     Dir::TopDown => &info.succs0[v],
                     Dir::BottomUp => &info.preds0[v],
                 };
                 for &w in next {
-                    if s.contains(&w) && !ordered.contains(&w) {
-                        r.insert(w);
+                    if in_s(w) && !ordered[w] && !in_r[w] {
+                        in_r[w] = true;
+                        r.push(w);
                     }
                 }
             }
-            if s.iter().all(|v| ordered.contains(v)) {
+            if left == 0 {
                 break;
             }
             // swing: reverse direction, restart from the frontier
@@ -328,32 +326,24 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
                 Dir::TopDown => Dir::BottomUp,
                 Dir::BottomUp => Dir::TopDown,
             };
-            let frontier: HashSet<usize> = order
-                .iter()
-                .flat_map(|&v| {
-                    match dir {
-                        Dir::TopDown => info.succs0[v].iter(),
-                        Dir::BottomUp => info.preds0[v].iter(),
-                    }
-                    .copied()
-                })
-                .filter(|v| s.contains(v) && !ordered.contains(v))
-                .collect();
-            if frontier.is_empty() {
+            r = match dir {
+                Dir::TopDown => touching(&info.preds0, &ordered),
+                Dir::BottomUp => touching(&info.succs0, &ordered),
+            };
+            if r.is_empty() {
                 // disconnected leftover inside the set: reseed
                 let seed = s
                     .iter()
                     .copied()
-                    .filter(|v| !ordered.contains(v))
+                    .filter(|&v| !ordered[v])
                     .max_by(|&a, &b| info.height[a].cmp(&info.height[b]).then(b.cmp(&a)));
                 match seed {
-                    Some(v) => {
-                        r = [v].into_iter().collect();
-                    }
+                    Some(v) => r.push(v),
                     None => break,
                 }
-            } else {
-                r = frontier;
+            }
+            for &v in &r {
+                in_r[v] = true;
             }
         }
     }
@@ -366,25 +356,19 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
 /// order, only predecessors or only successors among the earlier nodes
 /// (intra-iteration edges). Returns the number of violating nodes.
 pub fn order_violations(ddg: &Ddg<'_>, order: &[OpId]) -> usize {
-    let mut placed = HashSet::new();
+    let mut placed = vec![false; ddg.n_ops()];
     let mut bad = 0;
     for &v in order {
-        let preds: HashSet<usize> = ddg
+        let has_p = ddg
             .pred_edges(v)
-            .filter(|e| e.distance == 0)
-            .map(|e| e.from.index())
-            .collect();
-        let succs: HashSet<usize> = ddg
+            .any(|e| e.distance == 0 && placed[e.from.index()]);
+        let has_s = ddg
             .succ_edges(v)
-            .filter(|e| e.distance == 0)
-            .map(|e| e.to.index())
-            .collect();
-        let has_p = preds.iter().any(|p| placed.contains(p));
-        let has_s = succs.iter().any(|s| placed.contains(s));
+            .any(|e| e.distance == 0 && placed[e.to.index()]);
         if has_p && has_s {
             bad += 1;
         }
-        placed.insert(v.index());
+        placed[v.index()] = true;
     }
     bad
 }
@@ -392,6 +376,8 @@ pub fn order_violations(ddg: &Ddg<'_>, order: &[OpId]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
     use crate::circuits::{elementary_circuits, EnumLimits};
     use vliw_ir::{DepKind, KernelBuilder, Opcode};
 

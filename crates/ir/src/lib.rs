@@ -64,7 +64,7 @@ mod reg;
 mod unroll;
 
 pub use builder::KernelBuilder;
-pub use ddg::{Ddg, DepEdge, DepKind};
+pub use ddg::{Ddg, DepEdge, DepKind, Sccs};
 pub use fingerprint::{kernel_fingerprint, StableHasher};
 pub use kernel::LoopKernel;
 pub use mem_access::{ArrayId, ArrayInfo, ArrayKind, LatencyProfile, MemAccessInfo, MemProfile};

@@ -12,6 +12,14 @@
 //! those paths produced, and the word-parallel and journaled MRT
 //! equivalence tests hold the current engine to it.
 //!
+//! Golden front-end digests pin the shared scheduler front end: every
+//! case runs one profiled suite loop through circuit enumeration, latency
+//! assignment, the MII bounds and SMS ordering under one policy, and
+//! records one digest of the circuits, the latency assignment (reduction
+//! log included) and the recurrence MII, beside a second digest of the
+//! node order. They are compared with the committed
+//! `tests/golden/frontend_digests.txt`.
+//!
 //! Golden profile digests pin the profiling pass the same way: every
 //! case profiles one unroll variant of a suite loop on one input layout
 //! and records a digest of the first addresses of every memory operation
@@ -24,14 +32,16 @@
 #![allow(dead_code)] // each test binary uses a subset
 
 use std::hash::Hasher as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use interleaved_vliw::experiments::ExperimentContext;
 use interleaved_vliw::ir::{
-    unroll, ArrayKind, KernelBuilder, LoopKernel, Opcode, SrcOperand, StableHasher,
+    unroll, ArrayKind, Ddg, KernelBuilder, LoopKernel, OpId, Opcode, SrcOperand, StableHasher,
 };
 use interleaved_vliw::machine::MachineConfig;
 use interleaved_vliw::sched::{
-    optimal_unroll_factor, schedule_outcome, ClusterPolicy, ScheduleOptions,
+    elementary_circuits, optimal_unroll_factor, schedule_outcome, schedule_problem, ClusterPolicy,
+    EnumLimits, ScheduleOptions,
 };
 use interleaved_vliw::workloads::rng::StdRng;
 use interleaved_vliw::workloads::{
@@ -40,6 +50,7 @@ use interleaved_vliw::workloads::{
 
 const GOLDEN: &str = include_str!("schedule_digests.txt");
 const PROFILE_GOLDEN: &str = include_str!("profile_digests.txt");
+const FRONTEND_GOLDEN: &str = include_str!("frontend_digests.txt");
 
 /// Addresses per memory operation fed into a profile digest.
 const PROFILE_ADDRESSES: u64 = 64;
@@ -189,11 +200,149 @@ pub fn profile_lines() -> Vec<String> {
     out
 }
 
+/// One front-end case: its golden line and the SMS order it produced.
+pub struct FrontendCase {
+    /// `label circuits_digest order_digest circuit_count`, where the first
+    /// digest covers the circuit list, the latency assignment (latencies,
+    /// target MII and the reduction log with its `f64` bits) and the
+    /// recurrence MII, and the second covers the SMS order.
+    pub line: String,
+    /// Operations in the kernel.
+    pub n_ops: usize,
+    /// The SMS order.
+    pub order: Vec<OpId>,
+}
+
+/// The digests of one profiled kernel's front end under every policy,
+/// with default [`ScheduleOptions`].
+fn frontend_cases_of(
+    kernel: &LoopKernel,
+    machine: &MachineConfig,
+    label: &str,
+) -> Vec<FrontendCase> {
+    let ddg = Ddg::build(kernel);
+    let circuits = elementary_circuits(&ddg, EnumLimits::default());
+    let mut base = StableHasher::new();
+    base.write_u64(circuits.len() as u64);
+    for c in &circuits {
+        base.write_u64(c.nodes.len() as u64);
+        for (n, &e) in c.nodes.iter().zip(&c.edges) {
+            base.write_u64(n.index() as u64);
+            base.write_u64(e as u64);
+        }
+        base.write_u32(c.total_distance);
+    }
+    ClusterPolicy::ALL
+        .iter()
+        .map(|&policy| {
+            let p = schedule_problem(kernel, machine, &ScheduleOptions::new(policy));
+            let mut h = base.clone();
+            for &l in p.latencies.raw() {
+                h.write_u32(l);
+            }
+            h.write_u32(p.latencies.target_mii);
+            h.write_u64(p.latencies.steps.len() as u64);
+            for s in &p.latencies.steps {
+                h.write_u64(s.circuit as u64);
+                h.write_u64(s.chosen as u64);
+                h.write_u64(s.candidates.len() as u64);
+                for c in &s.candidates {
+                    h.write_u64(c.op.index() as u64);
+                    h.write_str(&format!("{:?}", c.to_class));
+                    h.write_u32(c.delta_ii);
+                    h.write_f64(c.delta_stall);
+                    h.write_f64(c.benefit);
+                }
+            }
+            h.write_u32(p.rec_mii);
+            let mut o = StableHasher::new();
+            for op in &p.order {
+                o.write_u64(op.index() as u64);
+            }
+            FrontendCase {
+                line: format!(
+                    "{label}/{policy:?} {:016x} {:016x} {}",
+                    h.finish(),
+                    o.finish(),
+                    circuits.len()
+                ),
+                n_ops: kernel.ops.len(),
+                order: p.order,
+            }
+        })
+        .collect()
+}
+
+/// Every loop of the full suite at factor 1 and at its OUF (when above 1),
+/// profiled as the scheduling-throughput workload profiles them, each
+/// labelled `loop/x<factor>`, on the suite's machine.
+pub fn suite_variants() -> (Vec<(String, LoopKernel)>, MachineConfig) {
+    let ctx = ExperimentContext::full();
+    let machine = &ctx.machine;
+    let mut profile = ctx.profile;
+    profile.iteration_cap = 64;
+    let mut out = Vec::new();
+    for model in ctx.models() {
+        for lw in &model.loops {
+            let ouf = optimal_unroll_factor(&lw.kernel, machine);
+            let mut factors = vec![1u32];
+            if ouf > 1 {
+                factors.push(ouf);
+            }
+            for f in factors {
+                let mut k = unroll(&lw.kernel, f);
+                let layout = ArrayLayout::new(&k, machine, true, ctx.workloads.profile_input);
+                profile_kernel(&mut k, machine, &layout, &profile);
+                out.push((format!("{}/x{f}", lw.kernel.name), k));
+            }
+        }
+    }
+    (out, ctx.machine)
+}
+
+/// The front-end cases of every [`suite_variants`] kernel under every
+/// policy, labelled `frontend/loop/x<factor>/<policy>`. Two threads take
+/// variants off one shared counter (the seven capped variants cost more
+/// than all others together); the cases come back in suite order.
+pub fn frontend_cases() -> Vec<FrontendCase> {
+    let (variants, machine) = suite_variants();
+    let next = AtomicUsize::new(0);
+    let run = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((label, k)) = variants.get(i) else {
+                return done;
+            };
+            done.push((
+                i,
+                frontend_cases_of(k, &machine, &format!("frontend/{label}")),
+            ));
+        }
+    };
+    let mut parts = std::thread::scope(|s| {
+        let h = s.spawn(run);
+        let mut parts = run();
+        parts.extend(h.join().expect("worker"));
+        parts
+    });
+    parts.sort_by_key(|&(i, _)| i);
+    parts.into_iter().flat_map(|(_, cases)| cases).collect()
+}
+
+/// The golden front-end lines (every line that is not a comment).
+pub fn golden_frontend_lines() -> Vec<&'static str> {
+    FRONTEND_GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .collect()
+}
+
 /// Builds a small random kernel: a few loads feeding a random int
 /// dataflow, optional carried recurrences, and a store. Dense dataflow
 /// forces inter-cluster copies, whose 2-cycle transfers wrap the II
 /// boundary at small IIs.
-fn random_kernel(rng: &mut StdRng, case: usize) -> LoopKernel {
+pub fn random_kernel(rng: &mut StdRng, case: usize) -> LoopKernel {
     let mut b = KernelBuilder::new(format!("mrtprop{case}"));
     let a = b.array("a", 4096, ArrayKind::Heap);
     let mut values = Vec::new();
